@@ -28,7 +28,7 @@ from .graphs import (
 )
 from .matching import matching_number, min_edge_cover
 from .normality import is_normal
-from .polytope import edge_polytope
+from .polytope import InvariantViolationError, edge_polytope
 from .toric import DEFAULT_MONOMIAL_BUDGET, GeneratorProfile, minimal_generator_degrees
 
 CSV_HEADER = "family,params,d,edges,mat,mu,normal,dim,reg,expected_reg,verdict"
@@ -123,7 +123,7 @@ def analyze(
         if window_row_cost(g, p.dim + 2) <= hstar_row_budget:
             hs = h_star(g, hstar_row_budget)
             if len(hs) - 1 != reg:
-                raise RuntimeError("h* degree disagrees with interior threshold")
+                raise InvariantViolationError("h* degree disagrees with interior threshold")
             reg_source = "h-star degree, cross-checked against interior threshold"
         else:
             reg_source = "interior threshold (h* window over row budget)"

@@ -2,7 +2,8 @@
 exhaustively, sweep the constructed families, and survey by matching number.
 
 Exit status is 0 only when no verification failed and no error occurred;
-failures are reported on stderr.
+failures are reported on stderr. An internal cross-check failure (a bug, not
+bad input) exits with its own status, 3.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .analysis import (
 from .enumeration import connected_graphs
 from .graphs import make_family, parse_graph
 from .normality import is_normal
+from .polytope import InvariantViolationError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
+EXIT_BUG = 3
 
 
 def _load_graph(args):
@@ -167,6 +170,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantViolationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_BUG
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

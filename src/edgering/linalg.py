@@ -1,12 +1,15 @@
-"""Exact linear algebra over the rationals, sized for small dense systems.
+"""Exact integer linear algebra: one fraction-free elimination kernel.
 
-Everything here works with Python ints and fractions.Fraction; no floating
-point enters any geometric decision.
+`eliminate` is Gauss-Jordan elimination in Bareiss's fraction-free form
+(Sylvester's identity and multistep integer-preserving Gaussian elimination,
+Math. Comp. 1968): every entry stays an integer minor of the input, so each
+division by the previous pivot is exact. Rank, pivot columns, integer inverses
+and projections are all read off its output; no floating point or rational
+number enters any geometric decision.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -21,106 +24,39 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in vals)
 
 
-def clear_denominators(vec) -> tuple[int, ...]:
-    """Primitive integer vector pointing in the same direction as a rational one."""
-    fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        den = f.denominator
-        lcm = lcm * den // gcd(lcm, den)
-    return primitive(int(f * lcm) for f in fracs)
+def eliminate(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int], int]:
+    """Gauss-Jordan elimination of an integer matrix, fraction-free (Bareiss).
 
+    Pivots left to right on the first `ncols` columns (default: all of them),
+    swapping rows as needed. Returns `(reduced, pivots, det)`: `reduced[i]`
+    for `i < len(pivots)` is the i-th pivot row, every pivot entry equals
+    `det`, and every other entry of a pivot column is 0. `len(pivots)` is the
+    rank of those columns, and `det` is the determinant, up to the sign of the
+    row permutation, of the submatrix on the pivot rows and columns (1 when
+    there are no pivots).
 
-def rank(rows) -> int:
-    """Rank of a matrix given as an iterable of integer or rational rows."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
-
-
-def pivot_columns(rows) -> list[int]:
-    """Column indices of the pivots found by Gaussian elimination, left to right."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
+    For a nonsingular square B, eliminating [B | I] leaves [det*I | det*B^-1].
+    """
+    mat = [[int(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for col in range(ncols):
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        p = prow[col]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[col]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
         pivots.append(col)
+        prev = p
         r += 1
-        if r == len(mat):
-            break
-    return pivots
-
-
-def solve(matrix, rhs) -> list[Fraction]:
-    """Solve a square nonsingular system exactly. Raises ValueError if singular."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def orthogonalize(rows) -> list[list[Fraction]]:
-    """Gram-Schmidt over Q; returns an orthogonal (not normalized) basis."""
-    basis: list[list[Fraction]] = []
-    for row in rows:
-        v = [Fraction(x) for x in row]
-        for b in basis:
-            bb = sum(x * x for x in b)
-            vb = sum(x * y for x, y in zip(v, b))
-            if bb != 0:
-                coef = vb / bb
-                v = [x - coef * y for x, y in zip(v, b)]
-        if any(x != 0 for x in v):
-            basis.append(v)
-    return basis
-
-
-def project_out(vec, ortho_basis) -> list[Fraction]:
-    """Component of vec orthogonal to the span of an orthogonal basis."""
-    v = [Fraction(x) for x in vec]
-    for b in ortho_basis:
-        bb = sum(x * x for x in b)
-        vb = sum(x * y for x, y in zip(v, b))
-        coef = vb / bb
-        v = [x - coef * y for x, y in zip(v, b)]
-    return v
+    return mat, pivots, prev

@@ -9,12 +9,15 @@ the graph connected (bipartite case), and hyperplane facets from independent
 sets whose neighborhood structure is connected with a suitable complement.
 Both outputs are canonicalized modulo the affine hull so they can be
 compared as halfspace sets.
+
+All linear algebra (the dimension, the chart, the initial simplicial cone of
+the double description and the projection off the hull) goes through the one
+fraction-free integer elimination in `linalg.eliminate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -51,6 +54,10 @@ class FacetInequality:
 
     def to_dict(self) -> dict:
         return {"normal": list(self.normal), "offset": self.offset, "provenance": self.provenance}
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _edge_vector(d: int, e: tuple[int, int]) -> tuple[int, ...]:
@@ -99,7 +106,7 @@ def edge_polytope(g: Graph) -> EdgePolytope:
     bip = is_bipartite(g)
     v0 = verts[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
-    dim = linalg.rank(diffs)
+    dim = len(linalg.eliminate(diffs)[1])
     expected = g.d - 2 if bip is not None else g.d - 1
     if dim != expected:
         raise InvariantViolationError(
@@ -120,33 +127,29 @@ def edge_polytope(g: Graph) -> EdgePolytope:
 # Canonicalization modulo the affine hull
 # ---------------------------------------------------------------------------
 
-def _hull_rows(p: EdgePolytope) -> list[list[Fraction]]:
-    return [[Fraction(c) for c in coeffs] + [Fraction(-rhs)] for coeffs, rhs in p.hull_equations]
-
-
 def canonical_inequality(p: EdgePolytope, normal, offset, provenance: str) -> FacetInequality:
     """Reduce (normal, offset) to the unique representative orthogonal to the hull.
 
     Adding multiples of hull equations does not change the inequality on the
-    polytope, so the orthogonal representative identifies the halfspace.
+    polytope, so the orthogonal representative identifies the halfspace. With
+    the homogenised hull rows H and v = (normal, -offset), eliminating
+    [H H^T | H v] leaves det * I and c = det * (H H^T)^-1 H v, so the
+    projection of v off the rows of H is a positive multiple of
+    sign(det) * (det * v - H^T c).
     """
-    basis = _ortho_hull_basis(p)
-    vec = [Fraction(x) for x in normal] + [Fraction(-offset)]
-    reduced = linalg.project_out(vec, basis)
-    ints = linalg.clear_denominators(reduced)
+    hull = [tuple(coeffs) + (-rhs,) for coeffs, rhs in p.hull_equations]
+    vec = tuple(normal) + (-offset,)
+    k = len(hull)
+    system = [[_dot(a, b) for b in hull] + [_dot(a, vec)] for a in hull]
+    reduced, _, det = linalg.eliminate(system, k)
+    coef = [row[k] for row in reduced]
+    sign = 1 if det > 0 else -1
+    ints = linalg.primitive(
+        sign * (det * x - sum(c * h[j] for c, h in zip(coef, hull))) for j, x in enumerate(vec)
+    )
     if all(x == 0 for x in ints):
         raise ValueError("inequality is a hull equation, not a facet candidate")
     return FacetInequality(ints[:-1], -ints[-1], provenance)
-
-
-@lru_cache(maxsize=16384)
-def _ortho_hull_basis_cached(equations: tuple) -> tuple:
-    rows = [[Fraction(c) for c in coeffs] + [Fraction(-rhs)] for coeffs, rhs in equations]
-    return tuple(tuple(r) for r in linalg.orthogonalize(rows))
-
-
-def _ortho_hull_basis(p: EdgePolytope):
-    return [list(r) for r in _ortho_hull_basis_cached(p.hull_equations)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def _ortho_hull_basis(p: EdgePolytope):
 def _chart_columns(p: EdgePolytope) -> list[int]:
     v0 = p.vertices[0]
     diffs = [[a - b for a, b in zip(v, v0)] for v in p.vertices[1:]]
-    cols = linalg.pivot_columns(diffs)
+    cols = linalg.eliminate(diffs)[1]
     if len(cols) != p.dim:
         raise InvariantViolationError("chart projection lost rank")
     return cols
@@ -175,33 +178,24 @@ def dual_description(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
 
     # Reorder so the first n+1 generators are linearly independent; the
     # initial cone is then simplicial and all intermediate cones are pointed.
-    indep: list[int] = []
-    rest: list[int] = []
-    chosen: list[tuple[int, ...]] = []
-    for idx, row in enumerate(gens):
-        if len(chosen) < n + 1 and linalg.rank(chosen + [row]) > len(chosen):
-            chosen.append(row)
-            indep.append(idx)
-        else:
-            rest.append(idx)
-    if len(chosen) < n + 1:
+    # The pivot columns of the transpose are the greedy, first-come choice.
+    indep = linalg.eliminate(list(zip(*gens)))[1]
+    if len(indep) < n + 1:
         raise InvariantViolationError("points are not full-dimensional in the chart")
-    order = indep + rest
+    chosen = set(indep)
+    order = indep + [i for i in range(len(gens)) if i not in chosen]
 
-    base = [gens[i] for i in order[: n + 1]]
-    rays: list[tuple[int, ...]] = []
-    for j in range(n + 1):
-        rhs = [1 if i == j else 0 for i in range(n + 1)]
-        col = linalg.solve(base, rhs)
-        rays.append(linalg.clear_denominators(col))
-
-    def dot(a, b) -> int:
-        return sum(x * y for x, y in zip(a, b))
+    # Eliminating [base | I] leaves det * base^-1 on the right; its columns,
+    # signed by det, point along the extreme rays of the initial cone.
+    base = [list(gens[i]) + [int(i == j) for j in indep] for i in indep]
+    reduced, _, det = linalg.eliminate(base, n + 1)
+    sign = 1 if det > 0 else -1
+    rays = [linalg.primitive(sign * row[n + 1 + j] for row in reduced) for j in range(n + 1)]
 
     def zero_mask(ray, upto: int) -> int:
         mask = 0
         for k in range(upto):
-            if dot(gens[order[k]], ray) == 0:
+            if _dot(gens[order[k]], ray) == 0:
                 mask |= 1 << k
         return mask
 
@@ -210,7 +204,7 @@ def dual_description(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
 
     for step in range(n + 1, len(order)):
         h = gens[order[step]]
-        vals = [dot(h, r) for r in rays]
+        vals = [_dot(h, r) for r in rays]
         if all(v >= 0 for v in vals):
             masks = [m | (1 << step) if vals[k] == 0 else m for k, m in enumerate(masks)]
             processed += 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import edgering.analysis
 from edgering.analysis import (
     CSV_HEADER,
     analyze,
@@ -16,6 +17,7 @@ from edgering.graphs import (
     cycle_graph,
     two_triangles_path,
 )
+from edgering.polytope import InvariantViolationError
 
 
 def test_analyze_k3():
@@ -55,6 +57,13 @@ def test_analyze_rejects_disconnected():
         analyze(Graph.of(4, [(1, 2), (3, 4)]))
     with pytest.raises(ValueError):
         analyze(Graph.of(1, []))
+
+
+def test_analyze_hstar_disagreement_is_an_invariant_violation(monkeypatch):
+    # K3 has regularity 0, so an h* vector of length 2 contradicts the threshold
+    monkeypatch.setattr(edgering.analysis, "h_star", lambda g, budget: (1, 1))
+    with pytest.raises(InvariantViolationError):
+        analyze(complete_graph(3))
 
 
 def test_report_dict_shape():

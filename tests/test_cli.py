@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import edgering.cli
 from edgering.analysis import CSV_HEADER
 from edgering.cli import main
 from edgering.graphs import render_graph, two_triangles_path
+from edgering.polytope import InvariantViolationError
 
 
 def test_analyze_family_json(tmp_path, capsys):
@@ -48,6 +50,15 @@ def test_analyze_errors(tmp_path, capsys):
     assert main(["analyze", "--input", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_invariant_violation_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantViolationError("cross-check failed")
+
+    monkeypatch.setattr(edgering.cli, "analyze", broken)
+    assert main(["analyze", "--family", "complete(3)"]) == 3
+    assert "internal error: cross-check failed" in capsys.readouterr().err
 
 
 def test_verify_theorem_cli(tmp_path, capsys):

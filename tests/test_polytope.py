@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -190,3 +191,16 @@ def test_canonical_inequality_identifies_equivalent_forms():
     assert a.key() == b.key()
     with pytest.raises(ValueError):
         canonical_inequality(p, (1, 0, 1, 0), 1, "hull equation")
+
+
+def test_facets_are_primitive_and_orthogonal_to_the_hull_d6():
+    # criterion 6 compares two routes that share canonical_inequality, so the
+    # canonical form itself is checked here
+    for n in range(2, 7):
+        for g in connected_graphs(n):
+            p = edge_polytope(g)
+            hull = [coeffs + (-rhs,) for coeffs, rhs in p.hull_equations]
+            for f in p.facets() + predicted_facets(g):
+                vec = f.normal + (-f.offset,)
+                assert all(sum(a * b for a, b in zip(vec, h)) == 0 for h in hull), (g, f)
+                assert gcd(*vec) == 1, (g, f)
