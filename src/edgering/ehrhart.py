@@ -12,6 +12,13 @@ Two independent counting routes are kept apart deliberately:
 The two agree exactly when the ring is normal, and the comparison is itself
 the integer-decomposition test `check_idp`.
 
+The geometric route tests every candidate against one homogenised facet
+kernel: the rows 2a - b of the facets a.x >= b, built once per graph, give
+through one float64 product and a min over facets both the lattice points
+(min >= 0) and the relative-interior points (min > 0) of every dilation.
+Counts take a count-only path that caches two integers per dilation and
+never materialises the points.
+
 Coordinates in a dilation q*P are bounded by q, so points are packed into
 single integers base 16 for deduplication; all supported workflows stay at
 q <= 15.
@@ -32,6 +39,8 @@ from .polytope import InvariantViolationError, edge_polytope
 
 MAX_Q = 15
 DEFAULT_ROW_BUDGET = 6_000_000
+# candidate rows per facet-kernel block
+_BLOCK_ROWS = 1 << 16
 
 
 class NotNormalError(ValueError):
@@ -95,16 +104,37 @@ def _unpack(codes: np.ndarray, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _facet_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    p = edge_polytope(g)
-    fs = p.facets()
-    if not fs:
-        return np.zeros((0, g.d)), np.zeros(0)
-    a = np.array([f.normal for f in fs], dtype=np.int64)
-    b = np.array([f.offset for f in fs], dtype=np.int64)
-    # facet coefficients stay far below 2**26, so float64 dot products are exact
-    assert np.abs(a).max() < 1 << 26
-    return a.astype(np.float64), b.astype(np.float64)
+@lru_cache(maxsize=16384)
+def _facet_matrix(g: Graph) -> np.ndarray:
+    """The facets a.x >= b of P homogenised as the rows 2a - b of a matrix H.
+
+    Every candidate of the dilation qP satisfies sum x = 2q, and there
+    a.x >= q*b holds exactly when (2a - b).x >= 0, so one H serves every q.
+    """
+    fs = edge_polytope(g).facets()
+    h = np.array([[2 * c - f.offset for c in f.normal] for f in fs], dtype=np.int64)
+    h = h.reshape(-1, g.d)
+    # with 0 <= x <= MAX_Q every partial sum of H @ x is an integer of
+    # magnitude below 2**53, so the float64 product is exact
+    assert int(np.abs(h).max(initial=0)) * MAX_Q * g.d < 1 << 53
+    out = h.astype(np.float64)
+    out.setflags(write=False)
+    return out
+
+
+def _facet_min(g: Graph, cand: np.ndarray) -> np.ndarray:
+    """Least homogenised facet value of each candidate row (sum x = 2q):
+    >= 0 inside qP, > 0 in its relative interior; +inf when P has no facets.
+
+    Evaluated facets-major, one block of rows at a time, so the float64
+    working set is bounded however many candidates there are.
+    """
+    h = _facet_matrix(g)
+    out = np.empty(len(cand))
+    for s in range(0, len(cand), _BLOCK_ROWS):
+        block = cand[s:s + _BLOCK_ROWS].T.astype(np.float64)
+        np.min(h @ block, axis=0, initial=np.inf, out=out[s:s + _BLOCK_ROWS])
+    return out
 
 
 def _hull_candidates(g: Graph, q: int) -> np.ndarray:
@@ -139,36 +169,30 @@ def window_row_cost(g: Graph, q_max: int) -> int:
     return total
 
 
-@lru_cache(maxsize=512)
-def _lattice_classified(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points, strict) for qP: the lattice points as a lexicographically
-    sorted int array plus a boolean mask marking relative-interior points."""
+def _window(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(candidates, facet minima) of the dilation qP."""
     if q > MAX_Q:
         raise BudgetExceededError(f"dilation {q} exceeds the supported bound {MAX_Q}")
     if q == 0:
-        pts = np.zeros((1, g.d), dtype=np.int16)
-        strict = np.array([False])
-        return pts, strict
+        # the origin: a lattice point of 0P, never counted as interior
+        return np.zeros((1, g.d), dtype=np.int16), np.zeros(1)
     cand = _hull_candidates(g, q)
-    a, b = _facet_arrays(g)
-    if len(cand) == 0:
-        return cand, np.zeros(0, dtype=bool)
-    if len(a) == 0:
-        inside = np.ones(len(cand), dtype=bool)
-        strict = np.ones(len(cand), dtype=bool)
-    else:
-        vals = cand.astype(np.float64) @ a.T
-        thresh = q * b
-        inside = np.all(vals >= thresh, axis=1)
-        strict = np.all(vals > thresh, axis=1)
-    pts = cand[inside]
-    strict = strict[inside]
-    order = np.lexsort(pts.T[::-1]) if len(pts) else np.zeros(0, dtype=int)
-    pts = pts[order]
-    strict = strict[order]
-    pts.setflags(write=False)
-    strict.setflags(write=False)
-    return pts, strict
+    return cand, _facet_min(g, cand)
+
+
+def _lattice_classified(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, strict) for qP: the lattice points as an int array, in no
+    particular order, plus a boolean mask marking relative-interior points."""
+    cand, m = _window(g, q)
+    inside = m >= 0
+    return cand[inside], m[inside] > 0
+
+
+@lru_cache(maxsize=4096)
+def _window_counts(g: Graph, q: int) -> tuple[int, int]:
+    """(|qP|, |relint qP|) from one pass, without materialising the points."""
+    _, m = _window(g, q)
+    return int(np.count_nonzero(m >= 0)), int(np.count_nonzero(m > 0))
 
 
 def lattice_points(g: Graph, q: int) -> set[tuple[int, ...]]:
@@ -186,13 +210,11 @@ def interior_lattice_points(g: Graph, q: int) -> set[tuple[int, ...]]:
 
 
 def lattice_count(g: Graph, q: int) -> int:
-    pts, _ = _lattice_classified(g, q)
-    return len(pts)
+    return _window_counts(g, q)[0]
 
 
 def interior_count(g: Graph, q: int) -> int:
-    _, strict = _lattice_classified(g, q)
-    return int(strict.sum())
+    return _window_counts(g, q)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +308,9 @@ def min_interior_q(g: Graph) -> int:
     if not is_normal(g):
         raise NotNormalError("interior threshold is computed for normal edge rings only")
     p = edge_polytope(g)
-    a, b = _facet_arrays(g)
     mu = g.d - matching_number(g)
     for q in range(max(mu, 1), p.dim + 2):
-        cand = _interior_candidates(g, q)
-        if len(cand) == 0:
-            continue
-        if len(a) == 0:
-            return q
-        vals = cand.astype(np.float64) @ a.T
-        if bool(np.any(np.all(vals > q * b, axis=1))):
+        if np.any(_facet_min(g, _interior_candidates(g, q)) > 0):
             return q
     raise InvariantViolationError(
         "no interior lattice point found by dim + 1; input is non-normal or a bug"
@@ -343,7 +358,8 @@ def h_star(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> tuple[int, ...]:
 
     Computed from the counts at q = 0..dim; the two extra window values check
     that the resulting polynomial reproduces the counts, and nonnegativity is
-    enforced as a runtime diagnostic.
+    enforced as a runtime diagnostic. The interior counts of the same window
+    pass check Ehrhart reciprocity, |relint qP| = (-1)^dim L(P, -q).
     """
     if not is_normal(g):
         raise NotNormalError("h* is computed for normal edge rings only")
@@ -357,6 +373,9 @@ def h_star(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> tuple[int, ...]:
     for q in (p.dim + 1, p.dim + 2):
         if ehrhart_polynomial_value(h, p.dim, q) != counts[q]:
             raise InvariantViolationError("h* polynomial disagrees with a checked count")
+    for q in range(1, p.dim + 3):
+        if interior_count(g, q) != (-1) ** p.dim * ehrhart_polynomial_value(h, p.dim, -q):
+            raise InvariantViolationError(f"interior count at q = {q} breaks Ehrhart reciprocity")
     return h
 
 

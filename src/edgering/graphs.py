@@ -23,6 +23,10 @@ class NotConnectedError(ValueError):
     """Raised when an operation requires a connected graph."""
 
 
+class InvariantViolationError(RuntimeError):
+    """An internal cross-check failed; indicates a bug, never bad user input."""
+
+
 def _norm_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 

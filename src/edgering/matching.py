@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, adjacency
+from .graphs import Graph, InvariantViolationError, adjacency
 
 
 class IsolatedVertexError(ValueError):
@@ -174,7 +174,7 @@ def min_edge_cover(g: Graph) -> EdgeCover:
             edges.add((min(v, u), max(v, u)))
     cover = EdgeCover(frozenset(edges))
     if len(cover) != g.d - len(matched):
-        raise RuntimeError("cover construction violated |cover| = d - mat")
+        raise InvariantViolationError("cover construction violated |cover| = d - mat")
     return cover
 
 

@@ -9,6 +9,8 @@ on every small graph.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graphs import Graph, NotConnectedError, adjacency, is_bipartite, is_connected
 
 
@@ -73,6 +75,7 @@ def satisfies_odd_cycle_condition(g: Graph) -> bool:
     return True
 
 
+@lru_cache(maxsize=16384)
 def is_normal(g: Graph) -> bool:
     """Normality of the edge ring: bipartite graphs qualify outright,
     otherwise the odd cycle condition decides."""

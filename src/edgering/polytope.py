@@ -23,6 +23,7 @@ from functools import lru_cache
 from . import linalg
 from .graphs import (
     Graph,
+    InvariantViolationError,
     NotConnectedError,
     adjacency,
     connected_components,
@@ -30,10 +31,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
 )
-
-
-class InvariantViolationError(RuntimeError):
-    """An internal cross-check failed; indicates a bug, never bad user input."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +73,8 @@ class EdgePolytope:
     vertices: tuple[tuple[int, ...], ...]
     dim: int
     hull_equations: tuple[tuple[tuple[int, ...], int], ...]
+    # pivot columns of the vertex differences: a full-dimensional chart
+    chart: tuple[int, ...]
     _facets: tuple[FacetInequality, ...] | None = field(default=None, repr=False)
 
     def facets(self) -> tuple[FacetInequality, ...]:
@@ -106,7 +105,8 @@ def edge_polytope(g: Graph) -> EdgePolytope:
     bip = is_bipartite(g)
     v0 = verts[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
-    dim = len(linalg.eliminate(diffs)[1])
+    chart = tuple(linalg.eliminate(diffs)[1])
+    dim = len(chart)
     expected = g.d - 2 if bip is not None else g.d - 1
     if dim != expected:
         raise InvariantViolationError(
@@ -120,7 +120,7 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         for v in verts:
             if sum(c * x for c, x in zip(coeffs, v)) != rhs:
                 raise InvariantViolationError("vertex violates an affine hull equation")
-    return EdgePolytope(g, g.d, verts, dim, tuple(equations))
+    return EdgePolytope(g, g.d, verts, dim, tuple(equations), chart)
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +155,6 @@ def canonical_inequality(p: EdgePolytope, normal, offset, provenance: str) -> Fa
 # ---------------------------------------------------------------------------
 # Hull-side facet computation (double description)
 # ---------------------------------------------------------------------------
-
-def _chart_columns(p: EdgePolytope) -> list[int]:
-    v0 = p.vertices[0]
-    diffs = [[a - b for a, b in zip(v, v0)] for v in p.vertices[1:]]
-    cols = linalg.eliminate(diffs)[1]
-    if len(cols) != p.dim:
-        raise InvariantViolationError("chart projection lost rank")
-    return cols
-
 
 def dual_description(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
     """Facet inequalities (alpha, beta), alpha.x >= beta, of a full-dimensional
@@ -253,13 +244,12 @@ def dual_description(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
 def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
     if p.dim < 1:
         return ()
-    cols = _chart_columns(p)
-    chart_points = [tuple(v[c] for c in cols) for v in p.vertices]
+    chart_points = [tuple(v[c] for c in p.chart) for v in p.vertices]
     raw = dual_description(chart_points)
     facets = []
     for alpha, beta in raw:
         normal = [0] * p.d
-        for c, a in zip(cols, alpha):
+        for c, a in zip(p.chart, alpha):
             normal[c] = a
         facets.append(canonical_inequality(p, normal, beta, "hull"))
     uniq = {f.key(): f for f in facets}

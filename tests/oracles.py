@@ -2,7 +2,7 @@
 
 These deliberately avoid the algorithms they check: matching and covering by
 exhaustive search, membership by Caratheodory-style subset solving, facets by
-candidate-hyperplane enumeration, generator counts by exact linear algebra,
+candidate-hyperplane enumeration, dilation windows by scanning the whole box, generator counts by exact linear algebra,
 and labeled connected-graph counts by the classical recurrence. The rational
 elimination helpers are standalone so the oracles share nothing with the
 package implementation.
@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from edgering.graphs import Graph, adjacency
+from edgering.polytope import edge_polytope
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +251,29 @@ def bruteforce_facets(vertices, dim: int) -> set[frozenset[int]]:
             if frac_rank(diffs_t) == dim - 1:
                 facets.add(tight)
     return facets
+
+
+def brute_window(g: Graph, q: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
+    """(lattice points, relative-interior points) of qP, q >= 1.
+
+    Scans every vector of the box [0, q]^d, keeps those on the scaled affine
+    hull and tests each facet a.x >= q*b of the edge polytope as written, in
+    exact integers (a.x > q*b for the interior); no homogenisation, no numpy.
+    """
+    p = edge_polytope(g)
+    facets = [(f.normal, f.offset) for f in p.facets()]
+    points: set[tuple[int, ...]] = set()
+    interior: set[tuple[int, ...]] = set()
+    for x in product(range(q + 1), repeat=g.d):
+        if any(sum(c * v for c, v in zip(coeffs, x)) != q * rhs
+               for coeffs, rhs in p.hull_equations):
+            continue
+        slack = [sum(a * v for a, v in zip(normal, x)) - q * b for normal, b in facets]
+        if all(s >= 0 for s in slack):
+            points.add(x)
+            if all(s > 0 for s in slack):
+                interior.add(x)
+    return points, interior
 
 
 # ---------------------------------------------------------------------------

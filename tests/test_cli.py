@@ -3,6 +3,7 @@ import json
 import pytest
 
 import edgering.cli
+import edgering.matching
 from edgering.analysis import CSV_HEADER
 from edgering.cli import main
 from edgering.graphs import render_graph, two_triangles_path
@@ -59,6 +60,15 @@ def test_invariant_violation_has_its_own_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(edgering.cli, "analyze", broken)
     assert main(["analyze", "--family", "complete(3)"]) == 3
     assert "internal error: cross-check failed" in capsys.readouterr().err
+
+
+def test_edge_cover_invariant_has_the_bug_exit_code(monkeypatch, capsys):
+    real = edgering.matching.EdgeCover
+    monkeypatch.setattr(
+        edgering.matching, "EdgeCover", lambda edges: real(frozenset(sorted(edges)[1:]))
+    )
+    assert main(["analyze", "--family", "path(4)"]) == 3
+    assert "internal error: cover construction" in capsys.readouterr().err
 
 
 def test_verify_theorem_cli(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import edgering.ehrhart
 from edgering.ehrhart import (
     BudgetExceededError,
     NotNormalError,
@@ -14,6 +15,7 @@ from edgering.ehrhart import (
     idp_points,
     interior_count,
     interior_lattice_points,
+    lattice_count,
     lattice_points,
     min_interior_q,
     regularity_normal,
@@ -26,7 +28,8 @@ from edgering.graphs import (
     star_graph,
     two_triangles_path,
 )
-from edgering.polytope import contains, edge_polytope
+from edgering.polytope import InvariantViolationError, contains, edge_polytope
+from oracles import brute_window
 
 
 def test_lattice_points_examples():
@@ -136,6 +139,26 @@ def test_reciprocity():
             lhs = interior_count(g, q)
             rhs = (-1) ** p.dim * ehrhart_polynomial_value(h, p.dim, -q)
             assert lhs == rhs
+
+
+def test_window_matches_brute_force_box_scan():
+    # the homogenised facet kernel against exact per-facet tests, both point
+    # sets and both counts, for every connected graph on at most 5 vertices
+    for n in range(2, 6):
+        for g in connected_graphs(n):
+            for q in range(1, edge_polytope(g).dim + 3):
+                points, interior = brute_window(g, q)
+                assert lattice_points(g, q) == points
+                assert interior_lattice_points(g, q) == interior
+                assert lattice_count(g, q) == len(points)
+                assert interior_count(g, q) == len(interior)
+
+
+def test_reciprocity_failure_is_an_invariant_violation(monkeypatch):
+    real = edgering.ehrhart.interior_count
+    monkeypatch.setattr(edgering.ehrhart, "interior_count", lambda g, q: real(g, q) + (q == 2))
+    with pytest.raises(InvariantViolationError, match="reciprocity"):
+        h_star(cycle_graph(4))
 
 
 def test_regularity_examples():
