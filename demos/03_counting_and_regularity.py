@@ -18,7 +18,6 @@ from edgering import (
     hilbert_function,
     lattice_points,
     min_interior_q,
-    regularity_normal,
     star_graph,
 )
 
@@ -39,7 +38,7 @@ for name, g in [
     print(f"  interior counts:            {prof.interior_counts}")
     print(f"  first interior dilation:    {prof.min_interior_q}")
     print(f"  h* = {prof.h_star}    degree s = {prof.s}    Krull dim = {prof.krull_dim}")
-    print(f"  reg = s = (dim+1) - min_interior_q = {regularity_normal(g)}")
+    print(f"  reg = s = (dim+1) - min_interior_q = {prof.s}")
 
 # the ring-side count (monomials of the edge ring) matches the geometric one
 g = cycle_graph(4)

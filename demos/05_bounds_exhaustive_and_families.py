@@ -12,7 +12,7 @@ Run:  python demos/05_bounds_exhaustive_and_families.py
 
 import time
 
-from edgering import connected_graphs, run_families, verify_theorem
+from edgering import run_families, verify_theorem
 
 print("=" * 70)
 print("Exhaustive bound verification (all connected graphs, up to iso)")
@@ -20,11 +20,10 @@ print("=" * 70)
 
 for n_max in (4, 5, 6):
     t0 = time.time()
-    violations = verify_theorem(n_max)
-    checked = sum(len(connected_graphs(n)) for n in range(2, n_max + 1))
+    result = verify_theorem(n_max)
     print(
-        f"  d <= {n_max}: {checked:4d} graphs checked, "
-        f"{len(violations)} violations  ({time.time() - t0:.1f}s)"
+        f"  d <= {n_max}: {result.checked:4d} graphs checked ({result.normal} normal), "
+        f"{len(result.violations)} violations  ({time.time() - t0:.1f}s)"
     )
 
 print("\n" + "=" * 70)

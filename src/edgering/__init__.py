@@ -1,7 +1,15 @@
 """Edge rings of finite graphs: matchings, edge polytopes, lattice-point
 counting, and regularity bounds for normal edge rings."""
 
-from .analysis import AnalysisReport, SweepRow, analyze, question5_sweep, run_families, verify_theorem
+from .analysis import (
+    AnalysisReport,
+    SweepRow,
+    Verification,
+    analyze,
+    question5_sweep,
+    run_families,
+    verify_theorem,
+)
 from .ehrhart import (
     BudgetExceededError,
     EhrhartProfile,

@@ -7,14 +7,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .ehrhart import (
-    DEFAULT_ROW_BUDGET,
-    BudgetExceededError,
-    h_star,
-    min_interior_q,
-    regularity_normal,
-    window_row_cost,
-)
+from .ehrhart import BudgetExceededError, ehrhart_profile, regularity_normal
 from .enumeration import connected_graphs
 from .graphs import (
     Graph,
@@ -28,8 +21,8 @@ from .graphs import (
 )
 from .matching import matching_number, min_edge_cover
 from .normality import is_normal
-from .polytope import InvariantViolationError, edge_polytope
-from .toric import DEFAULT_MONOMIAL_BUDGET, GeneratorProfile, minimal_generator_degrees
+from .polytope import edge_polytope
+from .toric import GeneratorProfile, minimal_generator_degrees
 
 CSV_HEADER = "family,params,d,edges,mat,mu,normal,dim,reg,expected_reg,verdict"
 
@@ -87,13 +80,7 @@ class AnalysisReport:
         }
 
 
-def analyze(
-    g: Graph,
-    run_toric: bool = False,
-    toric_qmax: int | None = None,
-    hstar_row_budget: int = DEFAULT_ROW_BUDGET,
-    toric_budget: int = DEFAULT_MONOMIAL_BUDGET,
-) -> AnalysisReport:
+def analyze(g: Graph, run_toric: bool = False, toric_qmax: int | None = None) -> AnalysisReport:
     """Compute all invariants of a connected graph with at least two vertices.
 
     Toric analysis is opt-in because fiber enumeration grows quickly; when it
@@ -118,12 +105,9 @@ def analyze(
     reg: int | None = None
     reg_source = "unknown"
     if normal:
-        q_min = min_interior_q(g)
-        reg = (p.dim + 1) - q_min
-        if window_row_cost(g, p.dim + 2) <= hstar_row_budget:
-            hs = h_star(g, hstar_row_budget)
-            if len(hs) - 1 != reg:
-                raise InvariantViolationError("h* degree disagrees with interior threshold")
+        counting = ehrhart_profile(g)
+        q_min, hs, reg = counting.min_interior_q, counting.h_star, counting.s
+        if hs is not None:
             reg_source = "h-star degree, cross-checked against interior threshold"
         else:
             reg_source = "interior threshold (h* window over row budget)"
@@ -133,12 +117,12 @@ def analyze(
     if run_toric:
         qmax = toric_qmax if toric_qmax is not None else max(2, 2 * p.dim)
         try:
-            profile = minimal_generator_degrees(g, qmax, toric_budget)
+            profile = minimal_generator_degrees(g, qmax)
         except BudgetExceededError as exc:
             notes.append(f"toric analysis aborted: {exc}")
         if profile is not None and not normal:
-            if profile.total == 1:
-                reg = profile.degrees[0] - 1
+            if profile.principal_reg is not None:
+                reg = profile.principal_reg
                 reg_source = f"principal generator (certified up to degree {profile.complete_up_to})"
             else:
                 notes.append("defining ideal not principal up to the bound; reg unknown")
@@ -174,24 +158,37 @@ def analyze(
     )
 
 
-def verify_theorem(n_max: int) -> list[AnalysisReport]:
+@dataclass(frozen=True)
+class Verification:
+    """Outcome of `verify_theorem`: graphs checked, how many were normal (and
+    so analyzed), and the reports that violate their bound."""
+
+    checked: int
+    normal: int
+    violations: list[AnalysisReport]
+
+
+def verify_theorem(n_max: int) -> Verification:
     """Check reg <= mat (non-bipartite normal) and reg <= mat - 1 (bipartite)
     over every connected graph on at most n_max vertices, up to isomorphism.
 
-    Returns the list of violating reports; an empty list is the expected
-    outcome. Non-normal graphs are skipped (the bound does not apply).
+    No violation is the expected outcome. Non-normal graphs are counted but
+    not analyzed (the bound does not apply).
     """
     if not (2 <= n_max <= 8):
         raise ValueError("n_max must be between 2 and 8")
+    checked = normal = 0
     violations: list[AnalysisReport] = []
     for n in range(2, n_max + 1):
         for g in connected_graphs(n):
+            checked += 1
             if not is_normal(g):
                 continue
+            normal += 1
             report = analyze(g)
             if report.verdict == "violated":
                 violations.append(report)
-    return violations
+    return Verification(checked, normal, violations)
 
 
 @dataclass(frozen=True)
@@ -298,12 +295,7 @@ def run_families(r_max: int, l_max: int) -> list[SweepRow]:
     return rows
 
 
-def question5_sweep(
-    m: int,
-    n_max: int,
-    toric_qmax: int | None = None,
-    toric_budget: int = DEFAULT_MONOMIAL_BUDGET,
-) -> dict:
+def question5_sweep(m: int, n_max: int, toric_qmax: int | None = None) -> dict:
     """Survey connected graphs with matching number exactly m on up to n_max
     vertices: maximum regularity among normal ones, and among non-normal ones
     that carry a principal-ideal certificate.
@@ -333,14 +325,11 @@ def question5_sweep(
             else:
                 qmax = toric_qmax if toric_qmax is not None else dim + 2
                 try:
-                    profile = minimal_generator_degrees(g, max(2, qmax), toric_budget)
+                    reg = minimal_generator_degrees(g, max(2, qmax)).principal_reg
                 except BudgetExceededError:
                     skipped_budget += 1
-                    profile = None
-                if profile is not None and profile.total == 1:
-                    reg = profile.degrees[0] - 1
-                    if nonnormal_max is None or reg > nonnormal_max[0]:
-                        nonnormal_max = (reg, g)
+                if reg is not None and (nonnormal_max is None or reg > nonnormal_max[0]):
+                    nonnormal_max = (reg, g)
             rows.append(
                 {
                     "d": g.d,

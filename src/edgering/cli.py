@@ -20,9 +20,7 @@ from .analysis import (
     run_families,
     verify_theorem,
 )
-from .enumeration import connected_graphs
 from .graphs import make_family, parse_graph
-from .normality import is_normal
 from .polytope import InvariantViolationError
 
 EXIT_OK = 0
@@ -64,23 +62,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_theorem(args) -> int:
     t0 = time.perf_counter()
-    violations = verify_theorem(args.nmax)
-    checked = sum(len(connected_graphs(n)) for n in range(2, args.nmax + 1))
-    normal_checked = sum(
-        1 for n in range(2, args.nmax + 1) for g in connected_graphs(n) if is_normal(g)
-    )
+    result = verify_theorem(args.nmax)
+    violations = result.violations
     payload = {
         "n_max": args.nmax,
-        "connected_graphs_checked": checked,
-        "normal_graphs_verified": normal_checked,
+        "connected_graphs_checked": result.checked,
+        "normal_graphs_verified": result.normal,
         "violations": [v.to_dict() for v in violations],
         "seconds": round(time.perf_counter() - t0, 3),
     }
     if args.json:
         _write_json(args.json, payload)
     print(
-        f"checked {checked} connected graphs on <= {args.nmax} vertices "
-        f"({normal_checked} normal): {len(violations)} violation(s)"
+        f"checked {result.checked} connected graphs on <= {args.nmax} vertices "
+        f"({result.normal} normal): {len(violations)} violation(s)"
     )
     if violations:
         for v in violations:

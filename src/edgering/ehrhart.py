@@ -19,9 +19,10 @@ through one float64 product and a min over facets both the lattice points
 Counts take a count-only path that caches two integers per dilation and
 never materialises the points.
 
-Coordinates in a dilation q*P are bounded by q, so points are packed into
-single integers base 16 for deduplication; all supported workflows stay at
-q <= 15.
+Coordinates in a dilation q*P are bounded by q <= 15, so points are packed
+into single integers base 16 for deduplication; `_radix_weights` is the one
+encoder (the toric module's fibers use it too) and refuses any point set whose
+codes could leave int64.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, is_bipartite
+from .graphs import Bipartition, Graph, is_bipartite
 from .matching import matching_number
 from .normality import is_normal
 from .polytope import InvariantViolationError, edge_polytope
@@ -87,9 +88,21 @@ def _compositions(total: int, parts: int, cap: int) -> np.ndarray:
     return arr
 
 
+def _radix_weights(d: int, cap: int) -> np.ndarray:
+    """Weights 16**i, i < d, of the base-16 code of a point in [0, cap]^d.
+
+    The largest code is cap * (16**d - 1) / 15; a point set whose codes could
+    leave int64 raises BudgetExceededError instead of wrapping.
+    """
+    if cap * (16 ** d - 1) // 15 >= 1 << 63:
+        raise BudgetExceededError(
+            f"base-16 codes of {d} coordinates up to {cap} do not fit in int64"
+        )
+    return 16 ** np.arange(d, dtype=np.int64)
+
+
 def _pack(points: np.ndarray) -> np.ndarray:
-    d = points.shape[1]
-    weights = (16 ** np.arange(d)).astype(np.int64)
+    weights = _radix_weights(points.shape[1], int(points.max(initial=0)))
     return points.astype(np.int64) @ weights
 
 
@@ -137,22 +150,23 @@ def _facet_min(g: Graph, cand: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(d: int, bip: Bipartition, lcomp: np.ndarray, rcomp: np.ndarray) -> np.ndarray:
+    """Every row of lcomp on the left side of the bipartition joined with
+    every row of rcomp on its right side."""
+    out = np.zeros((len(lcomp) * len(rcomp), d), dtype=np.int16)
+    out[:, np.array(sorted(bip.left), dtype=np.intp) - 1] = np.repeat(lcomp, len(rcomp), axis=0)
+    out[:, np.array(sorted(bip.right), dtype=np.intp) - 1] = np.tile(rcomp, (len(lcomp), 1))
+    return out
+
+
 def _hull_candidates(g: Graph, q: int) -> np.ndarray:
     """Integer vectors satisfying the scaled hull equations within 0..q."""
     bip = is_bipartite(g)
     if bip is None:
         return np.asarray(_compositions(2 * q, g.d, q))
-    left = sorted(bip.left)
-    right = sorted(bip.right)
-    lcomp = np.asarray(_compositions(q, len(left), q))
-    rcomp = np.asarray(_compositions(q, len(right), q))
-    nl, nr = len(lcomp), len(rcomp)
-    if nl == 0 or nr == 0:
-        return np.zeros((0, g.d), dtype=np.int16)
-    out = np.zeros((nl * nr, g.d), dtype=np.int16)
-    out[:, np.array(left) - 1] = np.repeat(lcomp, nr, axis=0)
-    out[:, np.array(right) - 1] = np.tile(rcomp, (nl, 1))
-    return out
+    lcomp = np.asarray(_compositions(q, len(bip.left), q))
+    rcomp = np.asarray(_compositions(q, len(bip.right), q))
+    return _product(g.d, bip, lcomp, rcomp)
 
 
 def window_row_cost(g: Graph, q_max: int) -> int:
@@ -229,9 +243,9 @@ def _idp_packed(g: Graph, q: int) -> np.ndarray:
         arr = np.zeros(1, dtype=np.int64)
         arr.setflags(write=False)
         return arr
-    deltas = np.array(
-        [(16 ** (i - 1)) + (16 ** (j - 1)) for i, j in g.edges], dtype=np.int64
-    )
+    # sums of q edge vectors have coordinates at most q
+    weights = _radix_weights(g.d, q)
+    deltas = np.array([weights[i - 1] + weights[j - 1] for i, j in g.edges], dtype=np.int64)
     prev = _idp_packed(g, q - 1)
     sums = (prev[:, None] + deltas[None, :]).ravel()
     arr = np.unique(sums)
@@ -270,8 +284,10 @@ def check_idp(g: Graph, q_max: int) -> bool:
 # Interior threshold and regularity
 # ---------------------------------------------------------------------------
 
-def _interior_candidates(g: Graph, q: int) -> np.ndarray:
-    """Integer vectors with all coordinates >= 1 satisfying the hull equations.
+def _interior_blocks(g: Graph, q: int):
+    """Integer vectors with all coordinates >= 1 satisfying the hull equations,
+    yielded in blocks of about _BLOCK_ROWS rows (one block when G is not
+    bipartite).
 
     For a normal graph every interior lattice point has all coordinates >= 1
     (verified exhaustively on small graphs by the test suite), so restricting
@@ -280,22 +296,14 @@ def _interior_candidates(g: Graph, q: int) -> np.ndarray:
     """
     bip = is_bipartite(g)
     if bip is None:
-        if 2 * q < g.d:
-            return np.zeros((0, g.d), dtype=np.int16)
-        return np.asarray(_compositions(2 * q - g.d, g.d, q - 1)) + 1
-    left = sorted(bip.left)
-    right = sorted(bip.right)
-    if q < len(left) or q < len(right):
-        return np.zeros((0, g.d), dtype=np.int16)
-    lcomp = np.asarray(_compositions(q - len(left), len(left), q - 1)) + 1
-    rcomp = np.asarray(_compositions(q - len(right), len(right), q - 1)) + 1
-    nl, nr = len(lcomp), len(rcomp)
-    if nl == 0 or nr == 0:
-        return np.zeros((0, g.d), dtype=np.int16)
-    out = np.zeros((nl * nr, g.d), dtype=np.int16)
-    out[:, np.array(left) - 1] = np.repeat(lcomp, nr, axis=0)
-    out[:, np.array(right) - 1] = np.tile(rcomp, (nl, 1))
-    return out
+        yield np.asarray(_compositions(2 * q - g.d, g.d, q - 1)) + 1
+        return
+    nl, nr = len(bip.left), len(bip.right)
+    lcomp = np.asarray(_compositions(q - nl, nl, q - 1)) + 1
+    rcomp = np.asarray(_compositions(q - nr, nr, q - 1)) + 1
+    step = max(1, _BLOCK_ROWS // max(len(rcomp), 1))
+    for s in range(0, len(lcomp), step):
+        yield _product(g.d, bip, lcomp[s:s + step], rcomp)
 
 
 def min_interior_q(g: Graph) -> int:
@@ -310,7 +318,7 @@ def min_interior_q(g: Graph) -> int:
     p = edge_polytope(g)
     mu = g.d - matching_number(g)
     for q in range(max(mu, 1), p.dim + 2):
-        if np.any(_facet_min(g, _interior_candidates(g, q)) > 0):
+        if any(np.any(_facet_min(g, block) > 0) for block in _interior_blocks(g, q)):
             return q
     raise InvariantViolationError(
         "no interior lattice point found by dim + 1; input is non-normal or a bug"
@@ -379,69 +387,61 @@ def h_star(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> tuple[int, ...]:
     return h
 
 
-def regularity_normal(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> int:
-    """Regularity of a normal edge ring: the h*-degree, equivalently
-    (dim P + 1) minus the interior dilation threshold.
-
-    Both routes run and are cross-asserted whenever the geometric window fits
-    the row budget; beyond it only the interior-threshold route runs.
-    """
-    if not is_normal(g):
-        raise NotNormalError("regularity via h* applies to normal edge rings only")
-    p = edge_polytope(g)
-    s = (p.dim + 1) - min_interior_q(g)
-    if window_row_cost(g, p.dim + 2) <= row_budget:
-        s_h = len(h_star(g, row_budget)) - 1
-        if s_h != s:
-            raise InvariantViolationError(
-                f"h* degree {s_h} != (dim+1) - interior threshold {s}"
-            )
-    return s
-
-
 @dataclass(frozen=True)
 class EhrhartProfile:
-    """Counting data of one normal edge polytope over the window q <= dim + 2."""
+    """The normal route's record of one edge polytope.
 
-    counts: tuple[int, ...]
-    interior_counts: tuple[int, ...]
+    The interior threshold and s = dim P + 1 - threshold (the regularity) are
+    always present; the window fields (counts, interior counts and h* over
+    q <= dim + 2) are None when the window is over the row budget.
+    """
+
+    counts: tuple[int, ...] | None
+    interior_counts: tuple[int, ...] | None
     min_interior_q: int
-    h_star: tuple[int, ...]
+    h_star: tuple[int, ...] | None
     s: int
     krull_dim: int
 
     def to_dict(self) -> dict:
         return {
-            "counts": list(self.counts),
-            "interior_counts": list(self.interior_counts),
+            "counts": None if self.counts is None else list(self.counts),
+            "interior_counts": None if self.interior_counts is None else list(self.interior_counts),
             "min_interior_q": self.min_interior_q,
-            "h_star": list(self.h_star),
+            "h_star": None if self.h_star is None else list(self.h_star),
             "s": self.s,
             "krull_dim": self.krull_dim,
         }
 
 
 def ehrhart_profile(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> EhrhartProfile:
-    """Full counting profile of a normal graph; raises BudgetExceededError when
-    the window enumeration would be too large."""
-    if not is_normal(g):
-        raise NotNormalError("profiles are computed for normal edge rings only")
+    """Counting profile of a normal graph: the interior threshold always, and
+    the window with h* when it fits the row budget.
+
+    This is the one place where the two regularity routes meet: when the
+    window runs, the h* degree and the first interior count are both checked
+    against the interior threshold.
+    """
     p = edge_polytope(g)
-    counts = ehrhart_counts(g, p.dim + 2, row_budget)
-    interior = [interior_count(g, q) for q in range(p.dim + 3)]
+    q_min = min_interior_q(g)  # raises NotNormalError for a non-normal graph
+    s = p.dim + 1 - q_min
+    if window_row_cost(g, p.dim + 2) > row_budget:
+        return EhrhartProfile(None, None, q_min, None, s, p.dim + 1)
     h = h_star(g, row_budget)
-    q_min = min_interior_q(g)
-    s = len(h) - 1
-    if s != p.dim + 1 - q_min:
-        raise InvariantViolationError("h* degree disagrees with interior threshold")
+    if len(h) - 1 != s:
+        raise InvariantViolationError(
+            f"h* degree {len(h) - 1} != (dim+1) - interior threshold {s}"
+        )
+    counts = tuple(lattice_count(g, q) for q in range(p.dim + 3))
+    interior = tuple(interior_count(g, q) for q in range(p.dim + 3))
     first_interior = next((q for q, c in enumerate(interior) if q >= 1 and c > 0), None)
     if first_interior != q_min:
         raise InvariantViolationError("interior threshold disagrees with interior counts")
-    return EhrhartProfile(
-        counts=tuple(counts),
-        interior_counts=tuple(interior),
-        min_interior_q=q_min,
-        h_star=h,
-        s=s,
-        krull_dim=p.dim + 1,
-    )
+    return EhrhartProfile(counts, interior, q_min, h, s, p.dim + 1)
+
+
+def regularity_normal(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> int:
+    """Regularity of a normal edge ring: (dim P + 1) minus the interior
+    dilation threshold, cross-checked against the h* degree by
+    `ehrhart_profile` whenever the window fits the row budget."""
+    return ehrhart_profile(g, row_budget).s

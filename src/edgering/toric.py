@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrhart import MAX_Q, BudgetExceededError, _compositions
+from .ehrhart import MAX_Q, BudgetExceededError, _compositions, _pack
 from .graphs import Graph
 
 DEFAULT_MONOMIAL_BUDGET = 2_000_000
@@ -45,6 +45,12 @@ class GeneratorProfile:
     @property
     def total(self) -> int:
         return len(self.degrees)
+
+    @property
+    def principal_reg(self) -> int | None:
+        """Regularity D - 1 when exactly one generator, of degree D, was found
+        up to the bound (a hypersurface ring); None otherwise."""
+        return self.degrees[0] - 1 if self.total == 1 else None
 
     def to_dict(self) -> dict:
         return {"degrees": list(self.degrees), "complete_up_to": self.complete_up_to}
@@ -74,7 +80,7 @@ def _exponent_groups(g: Graph, q: int, budget: int):
         incidence[k, i - 1] = 1
         incidence[k, j - 1] = 1
     degs = expo.astype(np.int64) @ incidence
-    codes = degs @ (16 ** np.arange(g.d)).astype(np.int64)
+    codes = _pack(degs)
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     expo = expo[order]
@@ -158,7 +164,4 @@ def principal_regularity(
     hypersurface ring); the result is only certified up to q_max. Returns
     None when zero or several generators were found.
     """
-    profile = minimal_generator_degrees(g, q_max, budget)
-    if profile.total != 1:
-        return None
-    return profile.degrees[0] - 1
+    return minimal_generator_degrees(g, q_max, budget).principal_reg

@@ -2,10 +2,11 @@
 
 These deliberately avoid the algorithms they check: matching and covering by
 exhaustive search, membership by Caratheodory-style subset solving, facets by
-candidate-hyperplane enumeration, dilation windows by scanning the whole box, generator counts by exact linear algebra,
-and labeled connected-graph counts by the classical recurrence. The rational
-elimination helpers are standalone so the oracles share nothing with the
-package implementation.
+candidate-hyperplane enumeration, dilation windows by scanning the whole box,
+sumsets and fibers by grouping edge multisets in a dict, generator counts by
+exact linear algebra, and labeled connected-graph counts by the classical
+recurrence. The rational elimination helpers are standalone so the oracles
+share nothing with the package implementation.
 """
 
 from __future__ import annotations
@@ -274,6 +275,20 @@ def brute_window(g: Graph, q: int) -> tuple[set[tuple[int, ...]], set[tuple[int,
             if all(s > 0 for s in slack):
                 interior.add(x)
     return points, interior
+
+
+def multidegree_classes(g: Graph, q: int) -> dict[tuple[int, ...], list[tuple]]:
+    """Every degree-q edge multiset (a sorted tuple of edges) grouped in a
+    Python dict by its multidegree, the sum of its edge vectors; plain tuples
+    and ints, no numpy and no packed codes."""
+    classes: dict[tuple[int, ...], list[tuple]] = {}
+    for combo in combinations_with_replacement(g.edges, q):
+        degree = [0] * g.d
+        for i, j in combo:
+            degree[i - 1] += 1
+            degree[j - 1] += 1
+        classes.setdefault(tuple(degree), []).append(combo)
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-import edgering.analysis
+import edgering.ehrhart
 from edgering.analysis import (
     CSV_HEADER,
     analyze,
@@ -61,7 +61,7 @@ def test_analyze_rejects_disconnected():
 
 def test_analyze_hstar_disagreement_is_an_invariant_violation(monkeypatch):
     # K3 has regularity 0, so an h* vector of length 2 contradicts the threshold
-    monkeypatch.setattr(edgering.analysis, "h_star", lambda g, budget: (1, 1))
+    monkeypatch.setattr(edgering.ehrhart, "h_star", lambda g, budget: (1, 1))
     with pytest.raises(InvariantViolationError):
         analyze(complete_graph(3))
 
@@ -90,8 +90,11 @@ def test_analyze_invariant_under_relabeling():
 
 
 def test_verify_theorem_small():
-    assert verify_theorem(4) == []
-    assert verify_theorem(5) == []
+    for n_max, checked in ((4, 1 + 2 + 6), (5, 1 + 2 + 6 + 21)):
+        result = verify_theorem(n_max)
+        assert result.violations == []
+        # every connected graph on at most 5 vertices is normal
+        assert (result.checked, result.normal) == (checked, checked)
     with pytest.raises(ValueError):
         verify_theorem(1)
     with pytest.raises(ValueError):

@@ -77,6 +77,7 @@ def test_verify_theorem_cli(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["violations"] == []
     assert payload["connected_graphs_checked"] == 9
+    assert payload["normal_graphs_verified"] == 9
     assert "0 violation(s)" in capsys.readouterr().out
 
 

@@ -3,6 +3,8 @@ import math
 import pytest
 
 import edgering.ehrhart
+from edgering.analysis import analyze
+from edgering.cli import main
 from edgering.ehrhart import (
     BudgetExceededError,
     NotNormalError,
@@ -22,14 +24,17 @@ from edgering.ehrhart import (
 )
 from edgering.enumeration import connected_graphs
 from edgering.graphs import (
+    attach_path,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    path_graph,
     star_graph,
     two_triangles_path,
 )
 from edgering.polytope import InvariantViolationError, contains, edge_polytope
-from oracles import brute_window
+from edgering.toric import fibers
+from oracles import brute_window, multidegree_classes
 
 
 def test_lattice_points_examples():
@@ -202,14 +207,53 @@ def test_budget_guard():
         ehrhart_counts(g, edge_polytope(g).dim + 2, row_budget=1000)
     # the regularity fallback still answers via the interior threshold
     assert regularity_normal(g, row_budget=1000) == 5
+    prof = ehrhart_profile(g, row_budget=1000)
+    assert (prof.counts, prof.interior_counts, prof.h_star) == (None, None, None)
+    assert (prof.min_interior_q, prof.s) == (6, 5)
 
 
-def test_restricted_interior_matches_full_enumeration():
+def test_one_cross_check_site(monkeypatch, capsys):
+    # an interior threshold one too high must be caught on every route that
+    # reads the profile, which is where the h* degree is compared with it
+    real = edgering.ehrhart.min_interior_q
+    monkeypatch.setattr(edgering.ehrhart, "min_interior_q", lambda g: real(g) + 1)
+    for call in (ehrhart_profile, regularity_normal, analyze):
+        with pytest.raises(InvariantViolationError):
+            call(complete_graph(4))
+    assert main(["analyze", "--family", "complete(4)"]) == 3
+    assert "internal error: h* degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block_rows", [edgering.ehrhart._BLOCK_ROWS, 7], ids=["real", "tiny"])
+def test_restricted_interior_matches_full_enumeration(monkeypatch, block_rows):
     # the interior search scans only all-positive vectors; cross-check the
-    # resulting threshold against full classification
+    # resulting threshold against full classification. Tiny blocks split each
+    # bipartite search into many blocks.
+    monkeypatch.setattr(edgering.ehrhart, "_BLOCK_ROWS", block_rows)
     for g in [complete_graph(4), complete_graph(5), cycle_graph(6), star_graph(6),
-              complete_bipartite_graph(2, 4)]:
+              complete_bipartite_graph(2, 4), complete_bipartite_graph(3, 3), path_graph(7)]:
         p = edge_polytope(g)
         q_min = min_interior_q(g)
         firsts = [q for q in range(1, p.dim + 2) if interior_count(g, q) > 0]
         assert firsts and firsts[0] == q_min
+
+
+@pytest.mark.parametrize("d", [16, 17, 19, 20])
+def test_point_codes_fit_int64_or_raise(d):
+    # base-16 codes of d coordinates up to 2 fit int64 for d <= 16 only
+    for g in [path_graph(d), cycle_graph(d), attach_path(complete_graph(4), 1, d - 4)]:
+        if d > 16:
+            for call in (hilbert_function, idp_points, check_idp, fibers):
+                with pytest.raises(BudgetExceededError, match="int64"):
+                    call(g, 2)
+            continue
+        classes = multidegree_classes(g, 2)
+        assert idp_points(g, 2) == set(classes)
+        assert hilbert_function(g, 2) == len(classes)
+        assert check_idp(g, 2)
+        got = [(f.multidegree, list(f.monomials)) for f in fibers(g, 2)]
+        assert got == sorted((k, v) for k, v in classes.items() if len(v) > 1)
+    if d == 16:
+        # at d = 16 the codes fit only while coordinates stay below 8
+        with pytest.raises(BudgetExceededError, match="int64"):
+            hilbert_function(path_graph(16), 8)
