@@ -88,6 +88,21 @@ def _compositions(total: int, parts: int, cap: int) -> np.ndarray:
     return arr
 
 
+def _composition_blocks(total: int, parts: int, cap: int):
+    """The rows of _compositions(total, parts, cap), in the same order, in
+    blocks of at most _BLOCK_ROWS rows: while the count without the cap
+    exceeds _BLOCK_ROWS, the first coordinate is fixed and the rest split."""
+    if parts <= 1 or math.comb(total + parts - 1, parts - 1) <= _BLOCK_ROWS:
+        yield np.asarray(_compositions(total, parts, cap))
+        return
+    for v in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1):
+        for tail in _composition_blocks(total - v, parts - 1, cap):
+            block = np.empty((len(tail), parts), dtype=np.int16)
+            block[:, 0] = v
+            block[:, 1:] = tail
+            yield block
+
+
 def _radix_weights(d: int, cap: int) -> np.ndarray:
     """Weights 16**i, i < d, of the base-16 code of a point in [0, cap]^d.
 
@@ -170,7 +185,9 @@ def _hull_candidates(g: Graph, q: int) -> np.ndarray:
 
 
 def window_row_cost(g: Graph, q_max: int) -> int:
-    """Candidate-row count of the full geometric enumeration up to q_max."""
+    """Candidate rows of the geometric enumeration up to q_max: exact for
+    bipartite G, else an upper bound that ignores the cap q (6 at d = 3,
+    q = 1, where there are 3). The row budget reads this exact figure."""
     bip = is_bipartite(g)
     total = 0
     for q in range(1, q_max + 1):
@@ -286,8 +303,7 @@ def check_idp(g: Graph, q_max: int) -> bool:
 
 def _interior_blocks(g: Graph, q: int):
     """Integer vectors with all coordinates >= 1 satisfying the hull equations,
-    yielded in blocks of about _BLOCK_ROWS rows (one block when G is not
-    bipartite).
+    yielded in blocks of about _BLOCK_ROWS rows.
 
     For a normal graph every interior lattice point has all coordinates >= 1
     (verified exhaustively on small graphs by the test suite), so restricting
@@ -296,7 +312,8 @@ def _interior_blocks(g: Graph, q: int):
     """
     bip = is_bipartite(g)
     if bip is None:
-        yield np.asarray(_compositions(2 * q - g.d, g.d, q - 1)) + 1
+        for block in _composition_blocks(2 * q - g.d, g.d, q - 1):
+            yield block + 1
         return
     nl, nr = len(bip.left), len(bip.right)
     lcomp = np.asarray(_compositions(q - nl, nl, q - 1)) + 1

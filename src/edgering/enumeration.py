@@ -6,20 +6,28 @@ has a non-cut vertex, so nothing is missed) and deduplicated by a canonical
 form: the minimum adjacency code over vertex orderings compatible with the
 stable color refinement. Two graphs receive the same code exactly when they
 are isomorphic, because a code reconstructs its graph.
-"""
+
+One evaluator, `_codes`, gives a graph's adjacency codes under a whole array
+of vertex orderings. `canonical_bits` takes their minimum over the products
+of the color classes' permutations while there are at most 1536, else over
+all n! orderings; `automorphism_count` counts the color-preserving rows of
+that n! table that reproduce the graph's code. Both refuse n outside
+1..MAX_N with ValueError rather than build an n!-row table."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial
+from itertools import accumulate, permutations, product
+from math import factorial, prod
 
 import numpy as np
 
 from .graphs import Graph
 
 MAX_N = 8
-_PY_PERM_LIMIT = 1536
+# canonical_bits searches the color-class orderings while there are at most
+# this many, all n! orderings otherwise: changing it changes every code
+_ORDER_LIMIT = 1536
 
 
 @lru_cache(maxsize=None)
@@ -52,22 +60,6 @@ def _adj_masks(n: int, bits: int) -> list[int]:
     return masks
 
 
-def _is_connected_bits(n: int, bits: int) -> bool:
-    masks = _adj_masks(n, bits)
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        v = frontier
-        while v:
-            low = (v & -v).bit_length() - 1
-            v &= v - 1
-            nxt |= masks[low]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
 def _stable_colors(n: int, masks: list[int]) -> list[int]:
     """Iterated neighbor-color refinement with canonical color ids."""
     colors = [bin(m).count("1") for m in masks]
@@ -88,62 +80,53 @@ def _stable_colors(n: int, masks: list[int]) -> list[int]:
         colors = new
 
 
-def _code_for_order(n: int, masks: list[int], order: tuple[int, ...]) -> int:
-    pos = [0] * n
-    for slot, v in enumerate(order):
-        pos[v] = slot
-    code = 0
-    for k, (i, j) in enumerate(edge_slots(n)):
-        if masks[order[i]] >> order[j] & 1:
-            code |= 1 << k
-    return code
-
-
-@lru_cache(maxsize=4)
-def _perm_edge_map(n: int) -> np.ndarray:
-    """For every permutation, where each edge slot lands; used by the
-    vectorized full-permutation canonical code."""
-    slots = edge_slots(n)
-    index = {pair: k for k, pair in enumerate(slots)}
-    perms = list(permutations(range(n)))
-    table = np.zeros((len(perms), len(slots)), dtype=np.int32)
-    for p_idx, perm in enumerate(perms):
-        for k, (i, j) in enumerate(slots):
-            a, b = perm[i], perm[j]
-            table[p_idx, k] = index[(a, b) if a < b else (b, a)]
+@lru_cache(maxsize=None)
+def _orderings(sizes: tuple[int, ...]) -> np.ndarray:
+    """Every ordering of the positions 0..n-1, n = sum(sizes), that permutes
+    each consecutive run of the given sizes within itself, one per row;
+    sizes (n,) gives all n! orderings."""
+    starts = accumulate(sizes, initial=0)
+    runs = [permutations(range(a, a + size)) for a, size in zip(starts, sizes)]
+    table = np.array([sum(pieces, ()) for pieces in product(*runs)], dtype=np.intp)
+    table.setflags(write=False)
     return table
 
 
-def _canonical_full(n: int, bits: int) -> int:
-    table = _perm_edge_map(n)
-    vec = np.array([(bits >> k) & 1 for k in range(len(edge_slots(n)))], dtype=np.int64)
-    weights = (1 << np.arange(len(vec))).astype(np.int64)
-    codes = vec[table] @ weights
-    return int(codes.min())
+@lru_cache(maxsize=None)
+def _slot_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, second, weight) of every edge slot: its two positions and 2**k."""
+    pairs = np.array(edge_slots(n), dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], 1 << np.arange(len(pairs), dtype=np.int64)
+
+
+def _codes(n: int, bits: int, orders: np.ndarray) -> np.ndarray:
+    """Adjacency code of the graph `bits` under each vertex ordering, one per
+    row of orders: bit k is set when the vertices at positions i < j, (i, j) =
+    edge_slots(n)[k], are adjacent."""
+    first, second, weight = _slot_arrays(n)
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[first, second] = adj[second, first] = (bits >> np.arange(len(weight))) & 1
+    return adj[orders[:, first], orders[:, second]] @ weight
+
+
+def _colors(n: int, bits: int) -> list[int]:
+    """Stable colors of the graph `bits`; n outside 1..MAX_N is refused."""
+    if not (1 <= n <= MAX_N):
+        raise ValueError(f"supported range is 1..{MAX_N} vertices")
+    return _stable_colors(n, _adj_masks(n, bits))
 
 
 @lru_cache(maxsize=1 << 20)
 def canonical_bits(n: int, bits: int) -> int:
     """Canonical adjacency code; equal codes mean isomorphic graphs."""
-    masks = _adj_masks(n, bits)
-    colors = _stable_colors(n, masks)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    count = 1
-    for cls in ordered:
-        count *= factorial(len(cls))
-    if count > _PY_PERM_LIMIT:
-        # color classes too coarse to prune; fall back to all n! orderings
-        return _canonical_full(n, bits)
-    best = None
-    for pieces in product(*(permutations(cls) for cls in ordered)):
-        order = tuple(v for piece in pieces for v in piece)
-        code = _code_for_order(n, masks, order)
-        if best is None or code < best:
-            best = code
-    return best
+    colors = _colors(n, bits)
+    by_color = sorted(range(n), key=colors.__getitem__)
+    sizes = tuple(colors.count(c) for c in sorted(set(colors)))
+    if prod(factorial(size) for size in sizes) > _ORDER_LIMIT:
+        # color classes too coarse to prune; search all n! orderings
+        sizes = (n,)
+    orders = np.array(by_color, dtype=np.intp)[_orderings(sizes)]
+    return int(_codes(n, bits, orders).min())
 
 
 @lru_cache(maxsize=None)
@@ -191,17 +174,11 @@ def connected_graphs_up_to(n_max: int) -> list[Graph]:
 
 
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group, by direct permutation counting."""
+    """Order of the automorphism group: the orderings among all n! that keep
+    every vertex's stable color and reproduce the graph's own code."""
     n = g.d
     bits = graph_to_bits(g)
-    masks = _adj_masks(n, bits)
-    if n >= 7:
-        table = _perm_edge_map(n)
-        vec = np.array([(bits >> k) & 1 for k in range(len(edge_slots(n)))], dtype=np.int64)
-        permuted = vec[table]
-        return int(np.sum(np.all(permuted == vec[None, :], axis=1)))
-    count = 0
-    for perm in permutations(range(n)):
-        if _code_for_order(n, masks, perm) == bits:
-            count += 1
-    return count
+    colors = np.array(_colors(n, bits))
+    table = _orderings((n,))
+    keep = table[np.all(colors[table] == colors, axis=1)]
+    return int(np.count_nonzero(_codes(n, bits, keep) == bits))

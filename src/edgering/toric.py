@@ -70,8 +70,8 @@ def _guard(g: Graph, q: int, budget: int) -> int:
 def _exponent_groups(g: Graph, q: int, budget: int):
     """Exponent vectors of degree q grouped by multidegree.
 
-    Yields (multidegree_row, exponent_block) for every fiber, singletons
-    included; callers filter.
+    Yields (multidegree_row, exponent_block) for every multidegree shared by
+    at least two exponent vectors.
     """
     _guard(g, q, budget)
     expo = np.asarray(_compositions(q, g.m, q))
@@ -88,7 +88,8 @@ def _exponent_groups(g: Graph, q: int, budget: int):
     boundaries = np.flatnonzero(np.diff(codes)) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [len(codes)]])
-    for s, e in zip(starts, ends):
+    shared = ends - starts >= 2
+    for s, e in zip(starts[shared].tolist(), ends[shared].tolist()):
         yield degs[s], expo[s:e]
 
 
@@ -127,8 +128,6 @@ def fibers(g: Graph, q: int, budget: int = DEFAULT_MONOMIAL_BUDGET) -> list[Fibe
         raise ValueError("q must be >= 1")
     out = []
     for deg_row, block in _exponent_groups(g, q, budget):
-        if len(block) < 2:
-            continue
         monos = tuple(sorted(_expo_to_monomial(g, row) for row in block))
         out.append(Fiber(tuple(int(x) for x in deg_row), monos))
     out.sort(key=lambda f: f.multidegree)
@@ -148,8 +147,6 @@ def minimal_generator_degrees(
     degrees: list[int] = []
     for q in range(2, q_max + 1):
         for _deg_row, block in _exponent_groups(g, q, budget):
-            if len(block) < 2:
-                continue
             comps = _fiber_components(block)
             degrees.extend([q] * (comps - 1))
     return GeneratorProfile(tuple(sorted(degrees)), q_max)

@@ -1,0 +1,83 @@
+"""Print sha256 digests of the program's outputs, to show that a change
+leaves them byte-identical: run it on both commits and compare the lines.
+
+    PYTHONPATH=src python tests/output_digests.py
+
+Digests (wall-clock `seconds` fields are dropped everywhere):
+
+* analyze: `json.dumps(report, sort_keys=True) + "\\n"` of `analyze(g).to_dict()`
+  for every connected graph with 2 <= n <= 7 and every 25th with n = 8;
+* verify-theorem: `verify-theorem --nmax 7` JSON, dumped with sorted keys,
+  then a newline, then its stdout;
+* q5: `q5 --m 2 --nmax 6` stdout followed by its CSV;
+* codes n<=7, codes n=8: `repr` of the canonical codes, as
+  `[connected_graph_bits(n) for n in range(1, 8)]` and `connected_graph_bits(8)`;
+* automorphisms n<=7: `repr` of the automorphism counts of
+  `connected_graphs(n)`, n = 1..7.
+
+Takes under a minute; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+from edgering.analysis import analyze
+from edgering.cli import main
+from edgering.enumeration import automorphism_count, connected_graph_bits, connected_graphs
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    return out.getvalue()
+
+
+def _analyze_digest() -> str:
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)] + connected_graphs(8)[::25]
+    lines = []
+    for g in graphs:
+        report = analyze(g).to_dict()
+        report.pop("seconds")
+        lines.append(json.dumps(report, sort_keys=True) + "\n")
+    return _sha("".join(lines))
+
+
+def _cli_digests(tmp: str) -> tuple[str, str]:
+    path = os.path.join(tmp, "verify.json")
+    stdout = _run(["verify-theorem", "--nmax", "7", "--json", path])
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload.pop("seconds")
+    verify = _sha(json.dumps(payload, sort_keys=True) + "\n" + stdout)
+    path = os.path.join(tmp, "q5.csv")
+    stdout = _run(["q5", "--m", "2", "--nmax", "6", "--csv", path])
+    with open(path, encoding="utf-8") as fh:
+        q5 = _sha(stdout + fh.read())
+    return verify, q5
+
+
+def main_digests() -> None:
+    print("analyze", _analyze_digest(), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        verify, q5 = _cli_digests(tmp)
+    print("verify-theorem", verify)
+    print("q5", q5, flush=True)
+    print("codes n<=7", _sha(repr([connected_graph_bits(n) for n in range(1, 8)])))
+    print("codes n=8", _sha(repr(connected_graph_bits(8))))
+    counts = [[automorphism_count(g) for g in connected_graphs(n)] for n in range(1, 8)]
+    print("automorphisms n<=7", _sha(repr(counts)))
+
+
+if __name__ == "__main__":
+    main_digests()

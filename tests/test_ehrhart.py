@@ -228,10 +228,11 @@ def test_one_cross_check_site(monkeypatch, capsys):
 def test_restricted_interior_matches_full_enumeration(monkeypatch, block_rows):
     # the interior search scans only all-positive vectors; cross-check the
     # resulting threshold against full classification. Tiny blocks split each
-    # bipartite search into many blocks.
+    # search, bipartite or not, into many blocks.
     monkeypatch.setattr(edgering.ehrhart, "_BLOCK_ROWS", block_rows)
     for g in [complete_graph(4), complete_graph(5), cycle_graph(6), star_graph(6),
-              complete_bipartite_graph(2, 4), complete_bipartite_graph(3, 3), path_graph(7)]:
+              complete_bipartite_graph(2, 4), complete_bipartite_graph(3, 3), path_graph(7),
+              cycle_graph(7), two_triangles_path(1)]:
         p = edge_polytope(g)
         q_min = min_interior_q(g)
         firsts = [q for q in range(1, p.dim + 2) if interior_count(g, q) > 0]

@@ -1,17 +1,30 @@
 import random
+from hashlib import sha256
 from itertools import permutations
 from math import factorial
 
+import pytest
+
+import edgering.enumeration
 from edgering.enumeration import (
+    MAX_N,
     automorphism_count,
     bits_to_graph,
     canonical_bits,
+    connected_graph_bits,
     connected_graphs,
     connected_graphs_up_to,
     edge_slots,
     graph_to_bits,
 )
-from edgering.graphs import Graph, is_connected
+from edgering.graphs import (
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    path_graph,
+)
 from oracles import labeled_connected_count
 
 
@@ -39,24 +52,61 @@ def test_all_reps_connected_and_canonical():
             assert canonical_bits(n, bits) == bits
 
 
+def _relabeled(n, bits, perm):
+    pool = edge_slots(n)
+    index = {p: k for k, p in enumerate(pool)}
+    permuted = 0
+    for k, (i, j) in enumerate(pool):
+        if bits >> k & 1:
+            a, b = perm[i], perm[j]
+            permuted |= 1 << index[(a, b) if a < b else (b, a)]
+    return permuted
+
+
 def test_canonical_invariant_under_relabeling():
     rng = random.Random(4)
     for _ in range(300):
         n = rng.randint(2, 7)
-        pool = edge_slots(n)
         bits = 0
-        for k in range(len(pool)):
+        for k in range(len(edge_slots(n))):
             if rng.random() < 0.4:
                 bits |= 1 << k
         perm = list(range(n))
         rng.shuffle(perm)
-        index = {p: k for k, p in enumerate(pool)}
-        permuted = 0
-        for k, (i, j) in enumerate(pool):
-            if bits >> k & 1:
-                a, b = perm[i], perm[j]
-                permuted |= 1 << index[(a, b) if a < b else (b, a)]
-        assert canonical_bits(n, bits) == canonical_bits(n, permuted)
+        assert canonical_bits(n, bits) == canonical_bits(n, _relabeled(n, bits, perm))
+    # regular graphs have one stable color class, so their canonical form is
+    # searched over all n! orderings; random graphs almost never are
+    for g in [cycle_graph(7), complete_graph(7), complete_bipartite_graph(4, 4)]:
+        bits = graph_to_bits(g)
+        for _ in range(5):
+            perm = list(range(g.d))
+            rng.shuffle(perm)
+            assert canonical_bits(g.d, _relabeled(g.d, bits, perm)) == canonical_bits(g.d, bits)
+
+
+def test_codes_and_automorphism_counts_are_pinned():
+    # graph labels and the order of connected_graphs feed every report, so
+    # the canonical codes and the automorphism counts must never change
+    codes = repr([connected_graph_bits(n) for n in range(1, 8)])
+    counts = repr([[automorphism_count(g) for g in connected_graphs(n)] for n in range(1, 8)])
+    assert sha256(codes.encode()).hexdigest() == (
+        "3ec2a2962b7056261e9ea9349d562723f01ff4e96bade06aaadf2e4b0b5ecadf"
+    )
+    assert sha256(counts.encode()).hexdigest() == (
+        "edfb1a967ea607f396a2a5803a5e11f20014667111de0386249e1cd5e18cfd42"
+    )
+
+
+def test_out_of_range_n_is_refused_before_any_table(monkeypatch):
+    def no_table(sizes):
+        raise AssertionError(f"ordering table built for {sizes}")
+
+    monkeypatch.setattr(edgering.enumeration, "_orderings", no_table)
+    for n in (0, MAX_N + 1):
+        with pytest.raises(ValueError, match="supported range"):
+            canonical_bits(n, 0)
+    with pytest.raises(ValueError, match="supported range"):
+        automorphism_count(path_graph(MAX_N + 1))
 
 
 def test_canonical_code_encodes_an_isomorphic_graph():
