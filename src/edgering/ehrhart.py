@@ -12,12 +12,15 @@ Two independent counting routes are kept apart deliberately:
 The two agree exactly when the ring is normal, and the comparison is itself
 the integer-decomposition test `check_idp`.
 
-The geometric route tests every candidate against one homogenised facet
+One enumerator, `_candidate_blocks`, yields the integer vectors on the
+scaled hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows: the
+whole box for the lattice-point window behind h*, the all-positive slice for
+the interior search. Every block is tested against one homogenised facet
 kernel: the rows 2a - b of the facets a.x >= b, built once per graph, give
 through one float64 product and a min over facets both the lattice points
 (min >= 0) and the relative-interior points (min > 0) of every dilation.
 Counts take a count-only path that caches two integers per dilation and
-never materialises the points.
+never materialises the points, so the window's memory is bounded by a block.
 
 Coordinates in a dilation q*P are bounded by q <= 15, so points are packed
 into single integers base 16 for deduplication; `_radix_weights` is the one
@@ -33,13 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Bipartition, Graph, is_bipartite
-from .matching import matching_number
+from .graphs import Graph, is_bipartite
 from .normality import is_normal
 from .polytope import InvariantViolationError, edge_polytope
 
 MAX_Q = 15
-DEFAULT_ROW_BUDGET = 6_000_000
+# candidate rows the h* window may enumerate; read at call time
+ROW_BUDGET = 6_000_000
 # candidate rows per facet-kernel block
 _BLOCK_ROWS = 1 << 16
 
@@ -60,47 +63,47 @@ class BudgetExceededError(RuntimeError):
 def _compositions(total: int, parts: int, cap: int) -> np.ndarray:
     """All integer vectors of length `parts` with entries in [0, cap] summing
     to `total`, as a read-only (N, parts) array."""
-    if parts == 0:
-        arr = np.zeros((1 if total == 0 else 0, 0), dtype=np.int16)
-        arr.setflags(write=False)
-        return arr
-    if parts == 1:
-        if 0 <= total <= cap:
-            arr = np.array([[total]], dtype=np.int16)
-        else:
-            arr = np.zeros((0, 1), dtype=np.int16)
-        arr.setflags(write=False)
-        return arr
-    blocks = []
-    lo = max(0, total - cap * (parts - 1))
-    hi = min(cap, total)
-    for v in range(lo, hi + 1):
-        tail = _compositions(total - v, parts - 1, cap)
-        if len(tail) == 0:
-            continue
-        head = np.full((len(tail), 1), v, dtype=np.int16)
-        blocks.append(np.hstack([head, tail]))
-    if not blocks:
-        arr = np.zeros((0, parts), dtype=np.int16)
+    if parts <= 1:
+        fits = total == 0 if parts == 0 else 0 <= total <= cap
+        arr = np.full((int(fits), parts), total, dtype=np.int16)
     else:
-        arr = np.vstack(blocks)
+        arr = np.concatenate([np.zeros((0, parts), dtype=np.int16)] + [
+            _prepend(v, _compositions(total - v, parts - 1, cap))
+            for v in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1)
+        ])
     arr.setflags(write=False)
     return arr
 
 
-def _composition_blocks(total: int, parts: int, cap: int):
+def _prepend(v: int, tail: np.ndarray) -> np.ndarray:
+    """The rows of tail, each with v prepended."""
+    block = np.empty((len(tail), tail.shape[1] + 1), dtype=np.int16)
+    block[:, 0] = v
+    block[:, 1:] = tail
+    return block
+
+
+def _count(total: int, parts: int, cap: int) -> int:
+    """len(_compositions(total, parts, cap)) for parts >= 1, by
+    inclusion-exclusion over the coordinates that exceed the cap."""
+    return sum(
+        (-1) ** k * math.comb(parts, k) * math.comb(total - k * (cap + 1) + parts - 1, parts - 1)
+        for k in range(parts + 1)
+        if total - k * (cap + 1) >= 0
+    )
+
+
+def _composition_blocks(total: int, parts: int, cap: int, rows: int):
     """The rows of _compositions(total, parts, cap), in the same order, in
-    blocks of at most _BLOCK_ROWS rows: while the count without the cap
-    exceeds _BLOCK_ROWS, the first coordinate is fixed and the rest split."""
-    if parts <= 1 or math.comb(total + parts - 1, parts - 1) <= _BLOCK_ROWS:
-        yield np.asarray(_compositions(total, parts, cap))
+    blocks of at most max(rows, 1) rows: while there are more, the first
+    coordinate is fixed and the rest split. Whatever fits is the one cached
+    array itself, not a copy."""
+    if parts <= 1 or _count(total, parts, cap) <= rows:
+        yield _compositions(total, parts, cap)
         return
     for v in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1):
-        for tail in _composition_blocks(total - v, parts - 1, cap):
-            block = np.empty((len(tail), parts), dtype=np.int16)
-            block[:, 0] = v
-            block[:, 1:] = tail
-            yield block
+        for tail in _composition_blocks(total - v, parts - 1, cap, rows):
+            yield _prepend(v, tail)
 
 
 def _radix_weights(d: int, cap: int) -> np.ndarray:
@@ -165,23 +168,29 @@ def _facet_min(g: Graph, cand: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product(d: int, bip: Bipartition, lcomp: np.ndarray, rcomp: np.ndarray) -> np.ndarray:
-    """Every row of lcomp on the left side of the bipartition joined with
-    every row of rcomp on its right side."""
-    out = np.zeros((len(lcomp) * len(rcomp), d), dtype=np.int16)
-    out[:, np.array(sorted(bip.left), dtype=np.intp) - 1] = np.repeat(lcomp, len(rcomp), axis=0)
-    out[:, np.array(sorted(bip.right), dtype=np.intp) - 1] = np.tile(rcomp, (len(lcomp), 1))
-    return out
+def _candidate_blocks(g: Graph, q: int, lo: int):
+    """Integer vectors with lo <= x_i <= q satisfying the hull equations of
+    qP, in blocks of about _BLOCK_ROWS rows: lo = 0 gives every candidate of
+    the window, lo = 1 the all-positive slice of the interior search.
 
-
-def _hull_candidates(g: Graph, q: int) -> np.ndarray:
-    """Integer vectors satisfying the scaled hull equations within 0..q."""
+    The hull is sum x = 2q, or sum x = q on each side of a bipartition. A
+    bipartite block joins a block of left-side rows with every row of the
+    right side, so the left side is split to keep it near _BLOCK_ROWS rows.
+    """
     bip = is_bipartite(g)
     if bip is None:
-        return np.asarray(_compositions(2 * q, g.d, q))
-    lcomp = np.asarray(_compositions(q, len(bip.left), q))
-    rcomp = np.asarray(_compositions(q, len(bip.right), q))
-    return _product(g.d, bip, lcomp, rcomp)
+        for block in _composition_blocks(2 * q - lo * g.d, g.d, q - lo, _BLOCK_ROWS):
+            yield block + lo if lo else block
+        return
+    left, right = (np.array(sorted(side), dtype=np.intp) - 1 for side in (bip.left, bip.right))
+    rcomp = _compositions(q - lo * len(right), len(right), q - lo)
+    rows = _BLOCK_ROWS // max(len(rcomp), 1)
+    for lcomp in _composition_blocks(q - lo * len(left), len(left), q - lo, rows):
+        block = np.zeros((len(lcomp) * len(rcomp), g.d), dtype=np.int16)
+        block[:, left] = np.repeat(lcomp, len(rcomp), axis=0)
+        block[:, right] = np.tile(rcomp, (len(lcomp), 1))
+        block += lo
+        yield block
 
 
 def window_row_cost(g: Graph, q_max: int) -> int:
@@ -200,36 +209,44 @@ def window_row_cost(g: Graph, q_max: int) -> int:
     return total
 
 
-def _window(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(candidates, facet minima) of the dilation qP."""
+def _window(g: Graph, q: int):
+    """(candidates, facet minima) of the dilation qP, one block at a time;
+    every window function validates q here."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     if q > MAX_Q:
         raise BudgetExceededError(f"dilation {q} exceeds the supported bound {MAX_Q}")
     if q == 0:
         # the origin: a lattice point of 0P, never counted as interior
-        return np.zeros((1, g.d), dtype=np.int16), np.zeros(1)
-    cand = _hull_candidates(g, q)
-    return cand, _facet_min(g, cand)
+        yield np.zeros((1, g.d), dtype=np.int16), np.zeros(1)
+        return
+    for cand in _candidate_blocks(g, q, 0):
+        yield cand, _facet_min(g, cand)
 
 
 def _lattice_classified(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(points, strict) for qP: the lattice points as an int array, in no
     particular order, plus a boolean mask marking relative-interior points."""
-    cand, m = _window(g, q)
-    inside = m >= 0
-    return cand[inside], m[inside] > 0
+    points, strict = [], []
+    for cand, m in _window(g, q):
+        inside = m >= 0
+        points.append(cand[inside])
+        strict.append(m[inside] > 0)
+    return np.concatenate(points), np.concatenate(strict)
 
 
 @lru_cache(maxsize=4096)
 def _window_counts(g: Graph, q: int) -> tuple[int, int]:
     """(|qP|, |relint qP|) from one pass, without materialising the points."""
-    _, m = _window(g, q)
-    return int(np.count_nonzero(m >= 0)), int(np.count_nonzero(m > 0))
+    inside = interior = 0
+    for _, m in _window(g, q):
+        inside += int(np.count_nonzero(m >= 0))
+        interior += int(np.count_nonzero(m > 0))
+    return inside, interior
 
 
 def lattice_points(g: Graph, q: int) -> set[tuple[int, ...]]:
     """Integer points of the dilation q * P, enumerated geometrically."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
     pts, _ = _lattice_classified(g, q)
     return {tuple(int(x) for x in row) for row in pts}
 
@@ -254,6 +271,8 @@ def interior_count(g: Graph, q: int) -> int:
 
 @lru_cache(maxsize=1024)
 def _idp_packed(g: Graph, q: int) -> np.ndarray:
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     if q > MAX_Q:
         raise BudgetExceededError(f"degree {q} exceeds the supported bound {MAX_Q}")
     if q == 0:
@@ -272,15 +291,11 @@ def _idp_packed(g: Graph, q: int) -> np.ndarray:
 
 def idp_points(g: Graph, q: int) -> set[tuple[int, ...]]:
     """All distinct sums of q edge vectors (the degree-q monomial exponents)."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
     return set(_unpack(_idp_packed(g, q), g.d))
 
 
 def hilbert_function(g: Graph, q: int) -> int:
     """Number of degree-q monomials of the edge ring."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
     return len(_idp_packed(g, q))
 
 
@@ -301,53 +316,34 @@ def check_idp(g: Graph, q_max: int) -> bool:
 # Interior threshold and regularity
 # ---------------------------------------------------------------------------
 
-def _interior_blocks(g: Graph, q: int):
-    """Integer vectors with all coordinates >= 1 satisfying the hull equations,
-    yielded in blocks of about _BLOCK_ROWS rows.
-
-    For a normal graph every interior lattice point has all coordinates >= 1
-    (verified exhaustively on small graphs by the test suite), so restricting
-    the interior search to this slice is lossless and keeps large dilations
-    cheap.
-    """
-    bip = is_bipartite(g)
-    if bip is None:
-        for block in _composition_blocks(2 * q - g.d, g.d, q - 1):
-            yield block + 1
-        return
-    nl, nr = len(bip.left), len(bip.right)
-    lcomp = np.asarray(_compositions(q - nl, nl, q - 1)) + 1
-    rcomp = np.asarray(_compositions(q - nr, nr, q - 1)) + 1
-    step = max(1, _BLOCK_ROWS // max(len(rcomp), 1))
-    for s in range(0, len(lcomp), step):
-        yield _product(g.d, bip, lcomp[s:s + step], rcomp)
-
-
 def min_interior_q(g: Graph) -> int:
     """Least q >= 1 whose dilation contains an interior lattice point.
 
-    Defined for normal edge rings. The search starts at the edge cover number
-    d - mat(G), below which no interior point can exist, and must succeed by
-    dim P + 1.
+    Defined for normal edge rings. Interior points of a normal edge polytope
+    have no zero coordinate (verified exhaustively on small graphs by the test
+    suite), so only the all-positive slice of each dilation is scanned. There
+    sum x = 2q with every x_i >= 1, so the search starts at ceil(d / 2), which
+    assumes no bound on the threshold, and must succeed by dim P + 1.
     """
     if not is_normal(g):
         raise NotNormalError("interior threshold is computed for normal edge rings only")
     p = edge_polytope(g)
-    mu = g.d - matching_number(g)
-    for q in range(max(mu, 1), p.dim + 2):
-        if any(np.any(_facet_min(g, block) > 0) for block in _interior_blocks(g, q)):
+    for q in range((g.d + 1) // 2, p.dim + 2):
+        if any(np.any(_facet_min(g, block) > 0) for block in _candidate_blocks(g, q, 1)):
             return q
     raise InvariantViolationError(
         "no interior lattice point found by dim + 1; input is non-normal or a bug"
     )
 
 
-def ehrhart_counts(g: Graph, q_max: int, row_budget: int = DEFAULT_ROW_BUDGET) -> list[int]:
+def ehrhart_counts(g: Graph, q_max: int) -> list[int]:
     """Geometric lattice-point counts |qP| for q = 0..q_max."""
+    if q_max < 0:
+        raise ValueError("q_max must be nonnegative")
     cost = window_row_cost(g, q_max)
-    if cost > row_budget:
+    if cost > ROW_BUDGET:
         raise BudgetExceededError(
-            f"enumeration of {cost} candidate rows exceeds the budget {row_budget}"
+            f"enumeration of {cost} candidate rows exceeds the budget {ROW_BUDGET}"
         )
     return [lattice_count(g, q) for q in range(q_max + 1)]
 
@@ -378,7 +374,7 @@ def ehrhart_polynomial_value(h_star_vec, dim: int, q: int) -> int:
     return sum(h_star_vec[i] * _binom_poly(q + dim - i, dim) for i in range(len(h_star_vec)))
 
 
-def h_star(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> tuple[int, ...]:
+def h_star(g: Graph) -> tuple[int, ...]:
     """h*-vector of the edge polytope of a normal graph.
 
     Computed from the counts at q = 0..dim; the two extra window values check
@@ -389,7 +385,7 @@ def h_star(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> tuple[int, ...]:
     if not is_normal(g):
         raise NotNormalError("h* is computed for normal edge rings only")
     p = edge_polytope(g)
-    counts = ehrhart_counts(g, p.dim + 2, row_budget)
+    counts = ehrhart_counts(g, p.dim + 2)
     h = _hstar_from_counts(counts, p.dim)
     if h[0] != 1:
         raise InvariantViolationError(f"h*_0 = {h[0]} != 1")
@@ -431,7 +427,7 @@ class EhrhartProfile:
         }
 
 
-def ehrhart_profile(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> EhrhartProfile:
+def ehrhart_profile(g: Graph) -> EhrhartProfile:
     """Counting profile of a normal graph: the interior threshold always, and
     the window with h* when it fits the row budget.
 
@@ -442,9 +438,9 @@ def ehrhart_profile(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> EhrhartPr
     p = edge_polytope(g)
     q_min = min_interior_q(g)  # raises NotNormalError for a non-normal graph
     s = p.dim + 1 - q_min
-    if window_row_cost(g, p.dim + 2) > row_budget:
+    if window_row_cost(g, p.dim + 2) > ROW_BUDGET:
         return EhrhartProfile(None, None, q_min, None, s, p.dim + 1)
-    h = h_star(g, row_budget)
+    h = h_star(g)
     if len(h) - 1 != s:
         raise InvariantViolationError(
             f"h* degree {len(h) - 1} != (dim+1) - interior threshold {s}"
@@ -457,8 +453,8 @@ def ehrhart_profile(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> EhrhartPr
     return EhrhartProfile(counts, interior, q_min, h, s, p.dim + 1)
 
 
-def regularity_normal(g: Graph, row_budget: int = DEFAULT_ROW_BUDGET) -> int:
+def regularity_normal(g: Graph) -> int:
     """Regularity of a normal edge ring: (dim P + 1) minus the interior
     dilation threshold, cross-checked against the h* degree by
     `ehrhart_profile` whenever the window fits the row budget."""
-    return ehrhart_profile(g, row_budget).s
+    return ehrhart_profile(g).s

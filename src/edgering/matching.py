@@ -177,6 +177,3 @@ def min_edge_cover(g: Graph) -> EdgeCover:
         raise InvariantViolationError("cover construction violated |cover| = d - mat")
     return cover
 
-
-def edge_cover_number(g: Graph) -> int:
-    return len(min_edge_cover(g))

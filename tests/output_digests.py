@@ -13,7 +13,11 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
 * codes n<=7, codes n=8: `repr` of the canonical codes, as
   `[connected_graph_bits(n) for n in range(1, 8)]` and `connected_graph_bits(8)`;
 * automorphisms n<=7: `repr` of the automorphism counts of
-  `connected_graphs(n)`, n = 1..7.
+  `connected_graphs(n)`, n = 1..7;
+* window: per graph, `repr` of `(g.edges, lattice counts, interior counts,
+  list(h_star(g)), min_interior_q(g))` plus a newline, counts for
+  q = 0..dim + 2, over the normal graphs with 2 <= n <= 7 and every 25th
+  normal graph with n = 8 (1,427 graphs).
 
 Takes under a minute; pytest does not collect this file.
 """
@@ -29,7 +33,10 @@ import tempfile
 
 from edgering.analysis import analyze
 from edgering.cli import main
+from edgering.ehrhart import h_star, interior_count, lattice_count, min_interior_q
 from edgering.enumeration import automorphism_count, connected_graph_bits, connected_graphs
+from edgering.normality import is_normal
+from edgering.polytope import edge_polytope
 
 
 def _sha(text: str) -> str:
@@ -67,6 +74,22 @@ def _cli_digests(tmp: str) -> tuple[str, str]:
     return verify, q5
 
 
+def _window_digest() -> str:
+    small = [g for n in range(2, 8) for g in connected_graphs(n) if is_normal(g)]
+    graphs = small + [g for g in connected_graphs(8) if is_normal(g)][::25]
+    lines = []
+    for g in graphs:
+        qs = range(edge_polytope(g).dim + 3)
+        lines.append(repr((
+            g.edges,
+            [lattice_count(g, q) for q in qs],
+            [interior_count(g, q) for q in qs],
+            list(h_star(g)),
+            min_interior_q(g),
+        )) + "\n")
+    return _sha("".join(lines))
+
+
 def main_digests() -> None:
     print("analyze", _analyze_digest(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -77,6 +100,7 @@ def main_digests() -> None:
     print("codes n=8", _sha(repr(connected_graph_bits(8))))
     counts = [[automorphism_count(g) for g in connected_graphs(n)] for n in range(1, 8)]
     print("automorphisms n<=7", _sha(repr(counts)))
+    print("window", _window_digest())
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ def test_analyze_rejects_disconnected():
 
 def test_analyze_hstar_disagreement_is_an_invariant_violation(monkeypatch):
     # K3 has regularity 0, so an h* vector of length 2 contradicts the threshold
-    monkeypatch.setattr(edgering.ehrhart, "h_star", lambda g, budget: (1, 1))
+    monkeypatch.setattr(edgering.ehrhart, "h_star", lambda g: (1, 1))
     with pytest.raises(InvariantViolationError):
         analyze(complete_graph(3))
 

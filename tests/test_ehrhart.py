@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import edgering.ehrhart
@@ -32,6 +33,7 @@ from edgering.graphs import (
     star_graph,
     two_triangles_path,
 )
+from edgering.matching import matching_number
 from edgering.polytope import InvariantViolationError, contains, edge_polytope
 from edgering.toric import fibers
 from oracles import brute_window, multidegree_classes
@@ -201,13 +203,14 @@ def test_profile():
     assert d["h_star"] == [1, 1]
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", 1000)
     g = complete_bipartite_graph(6, 6)
     with pytest.raises(BudgetExceededError):
-        ehrhart_counts(g, edge_polytope(g).dim + 2, row_budget=1000)
+        ehrhart_counts(g, edge_polytope(g).dim + 2)
     # the regularity fallback still answers via the interior threshold
-    assert regularity_normal(g, row_budget=1000) == 5
-    prof = ehrhart_profile(g, row_budget=1000)
+    assert regularity_normal(g) == 5
+    prof = ehrhart_profile(g)
     assert (prof.counts, prof.interior_counts, prof.h_star) == (None, None, None)
     assert (prof.min_interior_q, prof.s) == (6, 5)
 
@@ -222,6 +225,64 @@ def test_one_cross_check_site(monkeypatch, capsys):
             call(complete_graph(4))
     assert main(["analyze", "--family", "complete(4)"]) == 3
     assert "internal error: h* degree" in capsys.readouterr().err
+
+
+def test_planted_counterexample_is_reported(monkeypatch, capsys):
+    # the interior search starts at ceil(d/2), not at the bound's mu = d - mat,
+    # so an interior point of qP at q = mu - 1 is looked at and, with the h*
+    # window over the row budget, reported as a violation (exit 2)
+    monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", 0)
+    star = star_graph(4)
+    mu = star.d - matching_number(star)
+    planted = np.ones((1, star.d), dtype=np.int16)
+    real_blocks = edgering.ehrhart._candidate_blocks
+    real_min = edgering.ehrhart._facet_min
+
+    def is_star(g):
+        return g.d == star.d and sorted(len(g.neighbors(v)) for v in g.vertices()) == [1, 1, 1, 3]
+
+    def blocks(g, q, lo):
+        yield from real_blocks(g, q, lo)
+        if is_star(g) and (q, lo) == (mu - 1, 1):
+            yield planted
+
+    monkeypatch.setattr(edgering.ehrhart, "_candidate_blocks", blocks)
+    monkeypatch.setattr(edgering.ehrhart, "_facet_min",
+                        lambda g, cand: np.ones(1) if cand is planted else real_min(g, cand))
+    assert main(["verify-theorem", "--nmax", "5"]) == 2
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert line.startswith("violation: ")
+    assert "'d': 4, 'edge_count': 3" in line and "'min_interior_q': 2" in line
+
+
+@pytest.mark.parametrize("call", [lattice_points, interior_lattice_points, lattice_count,
+                                  interior_count, ehrhart_counts, idp_points, hilbert_function])
+def test_negative_q_is_refused(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        call(complete_graph(4), -1)
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), complete_bipartite_graph(2, 3),
+                               path_graph(5)], ids=["K4", "C5", "K23", "P5"])
+def test_blocked_window_matches_brute_force(monkeypatch, g):
+    # seven-row blocks split every window and every interior search; the
+    # count cache is cleared so the counts are taken through them
+    monkeypatch.setattr(edgering.ehrhart, "_BLOCK_ROWS", 7)
+    edgering.ehrhart._window_counts.cache_clear()
+    for q in range(1, edge_polytope(g).dim + 3):
+        points, interior = brute_window(g, q)
+        assert lattice_points(g, q) == points
+        assert interior_lattice_points(g, q) == interior
+        assert lattice_count(g, q) == len(points)
+        assert interior_count(g, q) == len(interior)
+        # the lo = 1 slice is exactly the all-positive part of the lo = 0 rows
+        blocks = [list(edgering.ehrhart._candidate_blocks(g, q, lo)) for lo in (0, 1)]
+        rows = [np.concatenate(b) for b in blocks]
+        assert len(blocks[0]) > 1 or len(rows[0]) <= 7
+        assert set(map(tuple, rows[1].tolist())) == {
+            row for row in map(tuple, rows[0].tolist()) if min(row) >= 1}
+        assert len(rows[1]) == len(set(map(tuple, rows[1].tolist())))
 
 
 @pytest.mark.parametrize("block_rows", [edgering.ehrhart._BLOCK_ROWS, 7], ids=["real", "tiny"])
