@@ -22,6 +22,15 @@ through one float64 product and a min over facets both the lattice points
 Counts take a count-only path that caches two integers per dilation and
 never materialises the points, so the window's memory is bounded by a block.
 
+The h*-vector comes from the Ehrhart polynomial L(P, q), of degree dim P.
+`h_star` measures the window only for q <= Q = ceil(dim/2) + 2, about half
+of dim + 2: the interior count of each pass gives L(P, -q) through Ehrhart
+reciprocity, |relint qP| = (-1)^dim L(P, -q), so the values at -Q..Q are
+2Q + 1 consecutive values of one polynomial. Every forward difference of
+order above dim must vanish (at least 4 equations, checked on every graph),
+and the values above Q (up to dim for h*, up to dim + 2 for the profile)
+are interpolated, never counted.
+
 Coordinates in a dilation q*P are bounded by q <= 15, so points are packed
 into single integers base 16 for deduplication; `_radix_weights` is the one
 encoder (the toric module's fibers use it too) and refuses any point set whose
@@ -336,16 +345,27 @@ def min_interior_q(g: Graph) -> int:
     )
 
 
-def ehrhart_counts(g: Graph, q_max: int) -> list[int]:
-    """Geometric lattice-point counts |qP| for q = 0..q_max."""
-    if q_max < 0:
-        raise ValueError("q_max must be nonnegative")
+def _require_row_budget(g: Graph, q_max: int) -> None:
     cost = window_row_cost(g, q_max)
     if cost > ROW_BUDGET:
         raise BudgetExceededError(
             f"enumeration of {cost} candidate rows exceeds the budget {ROW_BUDGET}"
         )
+
+
+def ehrhart_counts(g: Graph, q_max: int) -> list[int]:
+    """Geometric lattice-point counts |qP| for q = 0..q_max."""
+    if q_max < 0:
+        raise ValueError("q_max must be nonnegative")
+    _require_row_budget(g, q_max)
     return [lattice_count(g, q) for q in range(q_max + 1)]
+
+
+def _measured_top(dim: int) -> int:
+    """Q, the largest dilation h_star counts (never above dim + 2): the
+    2Q + 1 values of L(P, x) at x = -Q..Q it yields exceed the dim + 1 that
+    fix the polynomial by at least 4."""
+    return (dim + 1) // 2 + 2
 
 
 def _hstar_from_counts(counts: list[int], dim: int) -> tuple[int, ...]:
@@ -377,26 +397,40 @@ def ehrhart_polynomial_value(h_star_vec, dim: int, q: int) -> int:
 def h_star(g: Graph) -> tuple[int, ...]:
     """h*-vector of the edge polytope of a normal graph.
 
-    Computed from the counts at q = 0..dim; the two extra window values check
-    that the resulting polynomial reproduces the counts, and nonnegativity is
-    enforced as a runtime diagnostic. The interior counts of the same window
-    pass check Ehrhart reciprocity, |relint qP| = (-1)^dim L(P, -q).
+    One window pass per dilation q = 0..Q, Q = ceil(dim/2) + 2, measures
+    L(P, q) = |qP| and |relint qP|, which Ehrhart reciprocity equates with
+    (-1)^dim L(P, -q). That gives L at the 2Q + 1 consecutive points
+    x = -Q..Q. Their integer forward differences at x = -Q of every order
+    above dim must vanish, at least 4 equations beyond the dim + 1 values that
+    fix L; a nonzero one raises InvariantViolationError. The Newton form then
+    interpolates L(q) for q = 0..dim, the h*-vector is read off those, and
+    h*_0 = 1 and nonnegativity are enforced as runtime diagnostics.
+
+    The row budget is read at dim + 2, as for every window field.
     """
     if not is_normal(g):
         raise NotNormalError("h* is computed for normal edge rings only")
-    p = edge_polytope(g)
-    counts = ehrhart_counts(g, p.dim + 2)
-    h = _hstar_from_counts(counts, p.dim)
+    dim = edge_polytope(g).dim
+    _require_row_budget(g, dim + 2)
+    top = _measured_top(dim)
+    row = [(-1) ** dim * interior_count(g, q) for q in range(top, 0, -1)]
+    row += [lattice_count(g, q) for q in range(top + 1)]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for k in range(dim + 1, len(diffs)):
+        if diffs[k]:
+            raise InvariantViolationError(
+                f"window counts break Ehrhart reciprocity: forward difference of order {k} "
+                f"is {diffs[k]}, but L(P, x) has degree dim = {dim}"
+            )
+    counts = [sum(math.comb(q + top, k) * diffs[k] for k in range(dim + 1)) for q in range(dim + 1)]
+    h = _hstar_from_counts(counts, dim)
     if h[0] != 1:
         raise InvariantViolationError(f"h*_0 = {h[0]} != 1")
     if any(x < 0 for x in h):
         raise InvariantViolationError(f"negative h* entry in {h}; contradicts normality")
-    for q in (p.dim + 1, p.dim + 2):
-        if ehrhart_polynomial_value(h, p.dim, q) != counts[q]:
-            raise InvariantViolationError("h* polynomial disagrees with a checked count")
-    for q in range(1, p.dim + 3):
-        if interior_count(g, q) != (-1) ** p.dim * ehrhart_polynomial_value(h, p.dim, -q):
-            raise InvariantViolationError(f"interior count at q = {q} breaks Ehrhart reciprocity")
     return h
 
 
@@ -406,7 +440,9 @@ class EhrhartProfile:
 
     The interior threshold and s = dim P + 1 - threshold (the regularity) are
     always present; the window fields (counts, interior counts and h* over
-    q <= dim + 2) are None when the window is over the row budget.
+    q <= dim + 2) are None when the window is over the row budget. Counts at
+    q <= Q = ceil(dim/2) + 2 are measured; above Q they are the values of the
+    Ehrhart polynomial that `h_star` fixed, L(P, q) and (-1)^dim L(P, -q).
     """
 
     counts: tuple[int, ...] | None
@@ -445,8 +481,16 @@ def ehrhart_profile(g: Graph) -> EhrhartProfile:
         raise InvariantViolationError(
             f"h* degree {len(h) - 1} != (dim+1) - interior threshold {s}"
         )
-    counts = tuple(lattice_count(g, q) for q in range(p.dim + 3))
-    interior = tuple(interior_count(g, q) for q in range(p.dim + 3))
+    top = _measured_top(p.dim)
+    counts = tuple(
+        lattice_count(g, q) if q <= top else ehrhart_polynomial_value(h, p.dim, q)
+        for q in range(p.dim + 3)
+    )
+    # interior_count(g, 0) is the measured 0: reciprocity holds for q >= 1 only
+    interior = tuple(
+        interior_count(g, q) if q <= top else (-1) ** p.dim * ehrhart_polynomial_value(h, p.dim, -q)
+        for q in range(p.dim + 3)
+    )
     first_interior = next((q for q, c in enumerate(interior) if q >= 1 and c > 0), None)
     if first_interior != q_min:
         raise InvariantViolationError("interior threshold disagrees with interior counts")

@@ -34,6 +34,7 @@ from edgering.graphs import (
     two_triangles_path,
 )
 from edgering.matching import matching_number
+from edgering.normality import is_normal
 from edgering.polytope import InvariantViolationError, contains, edge_polytope
 from edgering.toric import fibers
 from oracles import brute_window, multidegree_classes
@@ -182,8 +183,6 @@ def test_regularity_formula_identity_small():
         for g in connected_graphs(n):
             if g.m == 0:
                 continue
-            from edgering.normality import is_normal
-
             if not is_normal(g):
                 continue
             p = edge_polytope(g)
@@ -319,3 +318,50 @@ def test_point_codes_fit_int64_or_raise(d):
         # at d = 16 the codes fit only while coordinates stay below 8
         with pytest.raises(BudgetExceededError, match="int64"):
             hilbert_function(path_graph(16), 8)
+
+
+def test_half_window_matches_full_window():
+    # h* from the counts at q <= ceil(dim/2) + 2 plus reciprocity equals h*
+    # read straight off the full window's counts at q = 0..dim
+    small = [g for n in range(2, 7) for g in connected_graphs(n) if is_normal(g)]
+    larger = [cycle_graph(7), complete_graph(6), complete_bipartite_graph(3, 4), path_graph(8)]
+    dims = set()
+    for g in small + larger:
+        dim = edge_polytope(g).dim
+        dims.add(dim)
+        assert h_star(g) == edgering.ehrhart._hstar_from_counts(ehrhart_counts(g, dim + 2), dim), g
+    assert {0, 1, 2, 3} <= dims  # K2, both parities of dim
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), complete_bipartite_graph(3, 3),
+                               cycle_graph(7)], ids=["K4", "C5", "K33", "C7"])
+def test_h_star_counts_only_the_half_window(monkeypatch, g):
+    asked = []
+    real = edgering.ehrhart._window
+
+    def window(graph, q):
+        asked.append(q)
+        return real(graph, q)
+
+    monkeypatch.setattr(edgering.ehrhart, "_window", window)
+    edgering.ehrhart._window_counts.cache_clear()
+    dim = edge_polytope(g).dim
+    h_star(g)
+    assert sorted(set(asked)) == list(range((dim + 1) // 2 + 3))
+
+
+def _single_faults():
+    for name, g in [("C4", cycle_graph(4)), ("K4", complete_graph(4))]:
+        top = (edge_polytope(g).dim + 1) // 2 + 2
+        for q in range(top + 1):
+            yield pytest.param(g, "lattice_count", q, id=f"{name}-lattice-{q}")
+        for q in range(1, top + 1):
+            yield pytest.param(g, "interior_count", q, id=f"{name}-interior-{q}")
+
+
+@pytest.mark.parametrize("g, count, fault_q", _single_faults())
+def test_single_count_fault_breaks_reciprocity(monkeypatch, g, count, fault_q):
+    real = getattr(edgering.ehrhart, count)
+    monkeypatch.setattr(edgering.ehrhart, count, lambda graph, q: real(graph, q) + (q == fault_q))
+    with pytest.raises(InvariantViolationError, match="reciprocity"):
+        h_star(g)
