@@ -14,8 +14,11 @@ from edgering import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    edge_polytope,
+    ehrhart_counts,
     ehrhart_profile,
     hilbert_function,
+    interior_lattice_points,
     lattice_points,
     min_interior_q,
     star_graph,
@@ -33,11 +36,14 @@ for name, g in [
     ("star(5)", star_graph(5)),
 ]:
     prof = ehrhart_profile(g)
+    dim = edge_polytope(g).dim
+    counts = tuple(ehrhart_counts(g, dim + 2))
+    interior = tuple(len(interior_lattice_points(g, q)) for q in range(dim + 3))
     print(f"\n{name}:")
-    print(f"  counts |qP|, q=0..{len(prof.counts) - 1}:      {prof.counts}")
-    print(f"  interior counts:            {prof.interior_counts}")
+    print(f"  counts |qP|, q=0..{dim + 2}:      {counts}")
+    print(f"  interior counts:            {interior}")
     print(f"  first interior dilation:    {prof.min_interior_q}")
-    print(f"  h* = {prof.h_star}    degree s = {prof.s}    Krull dim = {prof.krull_dim}")
+    print(f"  h* = {prof.h_star}    degree s = {prof.s}    Krull dim = {dim + 1}")
     print(f"  reg = s = (dim+1) - min_interior_q = {prof.s}")
 
 # the ring-side count (monomials of the edge ring) matches the geometric one

@@ -56,7 +56,7 @@ for m in (1, 2, 3):
 # every connected graph on up to 6 vertices is normal (two vertex-disjoint
 # odd cycles need 6 vertices, and connecting disjoint triangles on exactly 6
 # bridges them); d = 7 brings the first non-normal graphs
-print("\n  widening to d <= 7 for mat = 3 (takes about half a minute):")
+print("\n  widening to d <= 7 for mat = 3 (takes a few seconds):")
 summary = question5_sweep(3, 7)
 print(
     f"  mat = 3, d <= 7: {summary['graphs_with_mat_m']:4d} graphs, "

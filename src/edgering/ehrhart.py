@@ -22,14 +22,13 @@ through one float64 product and a min over facets both the lattice points
 Counts take a count-only path that caches two integers per dilation and
 never materialises the points, so the window's memory is bounded by a block.
 
-The h*-vector comes from the Ehrhart polynomial L(P, q), of degree dim P.
-`h_star` measures the window only for q <= Q = ceil(dim/2) + 2, about half
-of dim + 2: the interior count of each pass gives L(P, -q) through Ehrhart
-reciprocity, |relint qP| = (-1)^dim L(P, -q), so the values at -Q..Q are
-2Q + 1 consecutive values of one polynomial. Every forward difference of
-order above dim must vanish (at least 4 equations, checked on every graph),
-and the values above Q (up to dim for h*, up to dim + 2 for the profile)
-are interpolated, never counted.
+The h*-vector is the numerator of the Ehrhart series, sum |qP| t^q =
+h*(t) / (1 - t)^(dim + 1). `h_star` counts the window only for
+q <= Q = ceil(dim/2) + 2, about half of dim + 2, and reads h* from both ends
+with one convolution: the lattice counts give h*_0..h*_Q, and the interior
+counts, which Ehrhart reciprocity makes the same series read from the top,
+give h*_(dim + 1 - Q)..h*_(dim + 1). Where the two ends overlap or leave
+0..dim they must agree or be 0: at least 4 equations, checked on every graph.
 
 Coordinates in a dilation q*P are bounded by q <= 15, so points are packed
 into single integers base 16 for deduplication; `_radix_weights` is the one
@@ -205,7 +204,8 @@ def _candidate_blocks(g: Graph, q: int, lo: int):
 def window_row_cost(g: Graph, q_max: int) -> int:
     """Candidate rows of the geometric enumeration up to q_max: exact for
     bipartite G, else an upper bound that ignores the cap q (6 at d = 3,
-    q = 1, where there are 3). The row budget reads this exact figure."""
+    q = 1, where there are 3). The row budget reads this figure at
+    q_max = dim + 2, not at the dilations `h_star` evaluates."""
     bip = is_bipartite(g)
     total = 0
     for q in range(1, q_max + 1):
@@ -363,21 +363,17 @@ def ehrhart_counts(g: Graph, q_max: int) -> list[int]:
 
 def _measured_top(dim: int) -> int:
     """Q, the largest dilation h_star counts (never above dim + 2): the
-    2Q + 1 values of L(P, x) at x = -Q..Q it yields exceed the dim + 1 that
-    fix the polynomial by at least 4."""
+    2Q + 1 counts at q <= Q exceed the dim + 1 entries of h* by at least 4."""
     return (dim + 1) // 2 + 2
 
 
-def _hstar_from_counts(counts: list[int], dim: int) -> tuple[int, ...]:
-    h = []
-    for i in range(dim + 1):
-        total = 0
-        for j in range(i + 1):
-            total += (-1) ** j * math.comb(dim + 1, j) * counts[i - j]
-        h.append(total)
-    while len(h) > 1 and h[-1] == 0:
-        h.pop()
-    return tuple(h)
+def _numerator(values: list[int], dim: int) -> list[int]:
+    """The coefficients of t^0..t^(len(values) - 1) in (1 - t)^(dim + 1) times
+    the series sum values[q] t^q."""
+    return [
+        sum((-1) ** j * math.comb(dim + 1, j) * values[i - j] for j in range(i + 1))
+        for i in range(len(values))
+    ]
 
 
 def _binom_poly(n: int, k: int) -> int:
@@ -398,13 +394,15 @@ def h_star(g: Graph) -> tuple[int, ...]:
     """h*-vector of the edge polytope of a normal graph.
 
     One window pass per dilation q = 0..Q, Q = ceil(dim/2) + 2, measures
-    L(P, q) = |qP| and |relint qP|, which Ehrhart reciprocity equates with
-    (-1)^dim L(P, -q). That gives L at the 2Q + 1 consecutive points
-    x = -Q..Q. Their integer forward differences at x = -Q of every order
-    above dim must vanish, at least 4 equations beyond the dim + 1 values that
-    fix L; a nonzero one raises InvariantViolationError. The Newton form then
-    interpolates L(q) for q = 0..dim, the h*-vector is read off those, and
-    h*_0 = 1 and nonnegativity are enforced as runtime diagnostics.
+    |qP| and |relint qP|. The lattice counts are the series
+    h*(t) / (1 - t)^(dim + 1), so one convolution reads h*_0..h*_Q off them.
+    By Ehrhart reciprocity the interior counts (q >= 1) are the series
+    t^(dim + 1) h*(1/t) / (1 - t)^(dim + 1), so the same convolution reads
+    h*_(dim + 1) down to h*_(dim + 1 - Q) off them. Every index both ends
+    name must agree, and every index outside 0..dim must be 0: at least 4
+    equations beyond the dim + 1 entries; a failure raises
+    InvariantViolationError. h*_0 = 1 and nonnegativity are enforced as
+    runtime diagnostics.
 
     The row budget is read at dim + 2, as for every window field.
     """
@@ -413,88 +411,56 @@ def h_star(g: Graph) -> tuple[int, ...]:
     dim = edge_polytope(g).dim
     _require_row_budget(g, dim + 2)
     top = _measured_top(dim)
-    row = [(-1) ** dim * interior_count(g, q) for q in range(top, 0, -1)]
-    row += [lattice_count(g, q) for q in range(top + 1)]
-    diffs = []
-    while row:
-        diffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    for k in range(dim + 1, len(diffs)):
-        if diffs[k]:
+    low = _numerator([lattice_count(g, q) for q in range(top + 1)], dim)
+    high = _numerator([0] + [interior_count(g, q) for q in range(1, top + 1)], dim)
+    h: list[int | None] = [None] * (dim + 1)
+    for i, x in [*enumerate(low), *((dim + 1 - k, x) for k, x in enumerate(high))]:
+        want = h[i] if 0 <= i <= dim else 0
+        if want is None:
+            h[i] = x
+        elif x != want:
             raise InvariantViolationError(
-                f"window counts break Ehrhart reciprocity: forward difference of order {k} "
-                f"is {diffs[k]}, but L(P, x) has degree dim = {dim}"
+                f"window counts break Ehrhart reciprocity: h*_{i} reads {x} where the "
+                f"other counts or dim = {dim} require {want}"
             )
-    counts = [sum(math.comb(q + top, k) * diffs[k] for k in range(dim + 1)) for q in range(dim + 1)]
-    h = _hstar_from_counts(counts, dim)
+    while len(h) > 1 and h[-1] == 0:
+        h.pop()
     if h[0] != 1:
         raise InvariantViolationError(f"h*_0 = {h[0]} != 1")
     if any(x < 0 for x in h):
-        raise InvariantViolationError(f"negative h* entry in {h}; contradicts normality")
-    return h
+        raise InvariantViolationError(f"negative h* entry in {tuple(h)}; contradicts normality")
+    return tuple(h)
 
 
 @dataclass(frozen=True)
 class EhrhartProfile:
-    """The normal route's record of one edge polytope.
+    """The normal route's record of one edge polytope: the interior threshold
+    and s = dim P + 1 - threshold (the regularity) always, and h* when the
+    window fits the row budget (None otherwise)."""
 
-    The interior threshold and s = dim P + 1 - threshold (the regularity) are
-    always present; the window fields (counts, interior counts and h* over
-    q <= dim + 2) are None when the window is over the row budget. Counts at
-    q <= Q = ceil(dim/2) + 2 are measured; above Q they are the values of the
-    Ehrhart polynomial that `h_star` fixed, L(P, q) and (-1)^dim L(P, -q).
-    """
-
-    counts: tuple[int, ...] | None
-    interior_counts: tuple[int, ...] | None
     min_interior_q: int
     h_star: tuple[int, ...] | None
     s: int
-    krull_dim: int
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": None if self.counts is None else list(self.counts),
-            "interior_counts": None if self.interior_counts is None else list(self.interior_counts),
-            "min_interior_q": self.min_interior_q,
-            "h_star": None if self.h_star is None else list(self.h_star),
-            "s": self.s,
-            "krull_dim": self.krull_dim,
-        }
 
 
 def ehrhart_profile(g: Graph) -> EhrhartProfile:
     """Counting profile of a normal graph: the interior threshold always, and
-    the window with h* when it fits the row budget.
+    h* when the window fits the row budget.
 
     This is the one place where the two regularity routes meet: when the
-    window runs, the h* degree and the first interior count are both checked
-    against the interior threshold.
+    window runs, the h* degree is checked against the interior threshold.
     """
     p = edge_polytope(g)
     q_min = min_interior_q(g)  # raises NotNormalError for a non-normal graph
     s = p.dim + 1 - q_min
     if window_row_cost(g, p.dim + 2) > ROW_BUDGET:
-        return EhrhartProfile(None, None, q_min, None, s, p.dim + 1)
+        return EhrhartProfile(q_min, None, s)
     h = h_star(g)
     if len(h) - 1 != s:
         raise InvariantViolationError(
             f"h* degree {len(h) - 1} != (dim+1) - interior threshold {s}"
         )
-    top = _measured_top(p.dim)
-    counts = tuple(
-        lattice_count(g, q) if q <= top else ehrhart_polynomial_value(h, p.dim, q)
-        for q in range(p.dim + 3)
-    )
-    # interior_count(g, 0) is the measured 0: reciprocity holds for q >= 1 only
-    interior = tuple(
-        interior_count(g, q) if q <= top else (-1) ** p.dim * ehrhart_polynomial_value(h, p.dim, -q)
-        for q in range(p.dim + 3)
-    )
-    first_interior = next((q for q, c in enumerate(interior) if q >= 1 and c > 0), None)
-    if first_interior != q_min:
-        raise InvariantViolationError("interior threshold disagrees with interior counts")
-    return EhrhartProfile(counts, interior, q_min, h, s, p.dim + 1)
+    return EhrhartProfile(q_min, h, s)
 
 
 def regularity_normal(g: Graph) -> int:

@@ -3,9 +3,9 @@
 These deliberately avoid the algorithms they check: matching and covering by
 exhaustive search, membership by Caratheodory-style subset solving, facets by
 candidate-hyperplane enumeration, dilation windows by scanning the whole box,
-sumsets and fibers by grouping edge multisets in a dict, generator counts by
-exact linear algebra, and labeled connected-graph counts by the classical
-recurrence. The rational elimination helpers are standalone so the oracles
+h* from the full window's counts without reciprocity, sumsets and fibers by
+grouping edge multisets in a dict, generator counts by exact linear algebra,
+and labeled connected-graph counts by the classical recurrence. The rational elimination helpers are standalone so the oracles
 share nothing with the package implementation.
 """
 
@@ -276,6 +276,20 @@ def brute_window(g: Graph, q: int) -> tuple[set[tuple[int, ...]], set[tuple[int,
                 interior.add(x)
     return points, interior
 
+
+def hstar_from_counts(counts: list[int], dim: int) -> tuple[int, ...]:
+    """h* read straight off the full window: h*_i = sum_j (-1)^j C(dim+1, j)
+    counts[i - j] for i = 0..dim, trailing zeros dropped. Needs the counts at
+    q = 0..dim; no reciprocity."""
+    h = []
+    for i in range(dim + 1):
+        total = 0
+        for j in range(i + 1):
+            total += (-1) ** j * math.comb(dim + 1, j) * counts[i - j]
+        h.append(total)
+    while len(h) > 1 and h[-1] == 0:
+        h.pop()
+    return tuple(h)
 
 def multidegree_classes(g: Graph, q: int) -> dict[tuple[int, ...], list[tuple]]:
     """Every degree-q edge multiset (a sorted tuple of edges) grouped in a

@@ -2,6 +2,10 @@
 leaves them byte-identical: run it on both commits and compare the lines.
 
     PYTHONPATH=src python tests/output_digests.py
+    PYTHONPATH=src python tests/output_digests.py --check
+
+With `--check` the lines are also compared with the pinned digests in
+`PINNED`, and the script exits 1 naming every line that differs.
 
 Digests (wall-clock `seconds` fields are dropped everywhere):
 
@@ -29,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 from edgering.analysis import analyze
@@ -37,6 +42,16 @@ from edgering.ehrhart import h_star, interior_count, lattice_count, min_interior
 from edgering.enumeration import automorphism_count, connected_graph_bits, connected_graphs
 from edgering.normality import is_normal
 from edgering.polytope import edge_polytope
+
+PINNED = {
+    "analyze": "1b0b6fd0fbb7a4aad8d69660ad21f69443455be68f5335934fad13f7fe3fb2f6",
+    "verify-theorem": "2db4c5564b2d2ef322a1fe75de129ba1be2f116e36b6bc436b2e52d89923389b",
+    "q5": "d1ec2099d4fb4349d62839a276a192c014df3f0cea7cc6edca9eef2673e5bd54",
+    "codes n<=7": "3ec2a2962b7056261e9ea9349d562723f01ff4e96bade06aaadf2e4b0b5ecadf",
+    "codes n=8": "29a211dbd6e124bd6f9250fe1ac425fec4d129432db730bd8e0815ed76ec0511",
+    "automorphisms n<=7": "edfb1a967ea607f396a2a5803a5e11f20014667111de0386249e1cd5e18cfd42",
+    "window": "6c0143a68581c36a876e8522336b8a2a1b792051dda7a11e4756aa5401c81506",
+}
 
 
 def _sha(text: str) -> str:
@@ -90,18 +105,32 @@ def _window_digest() -> str:
     return _sha("".join(lines))
 
 
-def main_digests() -> None:
-    print("analyze", _analyze_digest(), flush=True)
+def _digests():
+    """(name, digest) for every output, in the order they are printed."""
+    yield "analyze", _analyze_digest()
     with tempfile.TemporaryDirectory() as tmp:
         verify, q5 = _cli_digests(tmp)
-    print("verify-theorem", verify)
-    print("q5", q5, flush=True)
-    print("codes n<=7", _sha(repr([connected_graph_bits(n) for n in range(1, 8)])))
-    print("codes n=8", _sha(repr(connected_graph_bits(8))))
+    yield "verify-theorem", verify
+    yield "q5", q5
+    yield "codes n<=7", _sha(repr([connected_graph_bits(n) for n in range(1, 8)]))
+    yield "codes n=8", _sha(repr(connected_graph_bits(8)))
     counts = [[automorphism_count(g) for g in connected_graphs(n)] for n in range(1, 8)]
-    print("automorphisms n<=7", _sha(repr(counts)))
-    print("window", _window_digest())
+    yield "automorphisms n<=7", _sha(repr(counts))
+    yield "window", _window_digest()
+
+
+def main_digests(check: bool = False) -> int:
+    differ = []
+    for name, digest in _digests():
+        print(name, digest, flush=True)
+        if digest != PINNED[name]:
+            differ.append(name)
+    if check and differ:
+        for name in differ:
+            print(f"differs from the pinned digest: {name}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main_digests()
+    sys.exit(main_digests(check="--check" in sys.argv[1:]))

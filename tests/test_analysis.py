@@ -13,6 +13,8 @@ from edgering.analysis import (
 from edgering.graphs import (
     Graph,
     NotConnectedError,
+    attach_path,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     two_triangles_path,
@@ -75,18 +77,22 @@ def test_report_dict_shape():
 
 
 def test_analyze_invariant_under_relabeling():
+    # the normal graphs compare h*: relabelling moves the bipartition, and
+    # with it the order in which the window enumerates its candidates
     rng = random.Random(12)
-    base = two_triangles_path(2)
-    fields = ("mat", "mu", "normal", "dim", "facet_count", "reg", "verdict")
-    expected = analyze(base)
-    for _ in range(5):
-        perm = list(range(1, base.d + 1))
-        rng.shuffle(perm)
-        relabel = {v: perm[v - 1] for v in base.vertices()}
-        g = Graph.of(base.d, [(relabel[i], relabel[j]) for i, j in base.edges])
-        got = analyze(g)
-        for f in fields:
-            assert getattr(got, f) == getattr(expected, f)
+    fields = ("mat", "mu", "normal", "bipartite", "dim", "facet_count", "min_interior_q",
+              "h_star", "reg", "verdict")
+    for base in [two_triangles_path(2), complete_graph(5), complete_bipartite_graph(3, 4),
+                 cycle_graph(6), attach_path(complete_graph(4), 1, 2)]:
+        expected = analyze(base)
+        for _ in range(5):
+            perm = list(range(1, base.d + 1))
+            rng.shuffle(perm)
+            relabel = {v: perm[v - 1] for v in base.vertices()}
+            g = Graph.of(base.d, [(relabel[i], relabel[j]) for i, j in base.edges])
+            got = analyze(g)
+            for f in fields:
+                assert getattr(got, f) == getattr(expected, f), (base, f)
 
 
 def test_verify_theorem_small():
