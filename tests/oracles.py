@@ -5,8 +5,9 @@ exhaustive search, membership by Caratheodory-style subset solving, facets by
 candidate-hyperplane enumeration, dilation windows by scanning the whole box,
 h* from the full window's counts without reciprocity, sumsets and fibers by
 grouping edge multisets in a dict, generator counts by exact linear algebra,
-and labeled connected-graph counts by the classical recurrence. The rational elimination helpers are standalone so the oracles
-share nothing with the package implementation.
+and labeled connected-graph counts by the classical recurrence. The rational
+elimination helpers are standalone so the oracles share nothing with the
+package implementation.
 """
 
 from __future__ import annotations
@@ -290,6 +291,7 @@ def hstar_from_counts(counts: list[int], dim: int) -> tuple[int, ...]:
     while len(h) > 1 and h[-1] == 0:
         h.pop()
     return tuple(h)
+
 
 def multidegree_classes(g: Graph, q: int) -> dict[tuple[int, ...], list[tuple]]:
     """Every degree-q edge multiset (a sorted tuple of edges) grouped in a
