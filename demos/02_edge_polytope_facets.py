@@ -6,14 +6,16 @@ The hull route converts the vertex list to inequalities with exact integer
 arithmetic. The prediction route reads facets off the graph structure:
 coordinate halfspaces at vertices whose removal leaves no bipartite component
 (or keeps the graph connected, in the bipartite case), and independent-set
-hyperplanes. Both are canonicalized modulo the affine hull, so the outputs
-are directly comparable.
+hyperplanes. Each facet is one functional h with h . x >= 0 on every
+dilation qP, brought to one canonical form, so the outputs are directly
+comparable.
 
 Run:  python demos/02_edge_polytope_facets.py
 """
 
 from edgering import (
     complete_graph,
+    contains,
     cycle_graph,
     edge_polytope,
     predicted_facets,
@@ -41,11 +43,11 @@ for name, g in [
     same = {f.key() for f in hull} == {f.key() for f in pred}
     print(f"  identical halfspace sets: {same}")
     for f in pred[:4]:
-        print(f"    {f.normal} . x >= {f.offset}    [{f.provenance}]")
+        print(f"    {f.normal} . x >= 0    [{f.provenance}]")
     if len(pred) > 4:
         print(f"    ... {len(pred) - 4} more")
 
 # membership of a dilation point is decided exactly
 p = edge_polytope(complete_graph(3))
 for q, pt in [(3, (2, 2, 2)), (2, (2, 1, 1)), (1, (2, 1, -1))]:
-    print(f"\nK3, q={q}, point {pt}: {p.contains(q, pt)}")
+    print(f"\nK3, q={q}, point {pt}: {contains(p, q, pt)}")

@@ -61,7 +61,6 @@ from .polytope import (
     InvariantViolationError,
     contains,
     edge_polytope,
-    facets,
     predicted_facets,
 )
 from .toric import Fiber, GeneratorProfile, fibers, minimal_generator_degrees, principal_regularity

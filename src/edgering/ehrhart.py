@@ -15,8 +15,8 @@ the integer-decomposition test `check_idp`.
 One enumerator, `_candidate_blocks`, yields the integer vectors on the
 scaled hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows: the
 whole box for the lattice-point window behind h*, the all-positive slice for
-the interior search. Every block is tested against one homogenised facet
-kernel: the rows 2a - b of the facets a.x >= b, built once per graph, give
+the interior search. Every block is tested against one facet kernel: the
+facet normals h of P, h.x >= 0 on every dilation, built once per graph, give
 through one float64 product and a min over facets both the lattice points
 (min >= 0) and the relative-interior points (min > 0) of every dilation.
 Counts take a count-only path that caches two integers per dilation and
@@ -145,25 +145,22 @@ def _unpack(codes: np.ndarray, d: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=16384)
 def _facet_matrix(g: Graph) -> np.ndarray:
-    """The facets a.x >= b of P homogenised as the rows 2a - b of a matrix H.
-
-    Every candidate of the dilation qP satisfies sum x = 2q, and there
-    a.x >= q*b holds exactly when (2a - b).x >= 0, so one H serves every q.
-    """
+    """The facet normals h of P, h.x >= 0 on every dilation, as the rows of a
+    matrix H, so one H serves every q."""
     fs = edge_polytope(g).facets()
-    h = np.array([[2 * c - f.offset for c in f.normal] for f in fs], dtype=np.int64)
-    h = h.reshape(-1, g.d)
-    # with 0 <= x <= MAX_Q every partial sum of H @ x is an integer of
-    # magnitude below 2**53, so the float64 product is exact
-    assert int(np.abs(h).max(initial=0)) * MAX_Q * g.d < 1 << 53
+    h = np.array([f.normal for f in fs], dtype=np.int64).reshape(-1, g.d)
+    # the window stops at q = MAX_Q and the interior search at q = dim + 1 <= d,
+    # so with 0 <= x <= max(MAX_Q, d) every partial sum of H @ x is an integer
+    # of magnitude below 2**53, and the float64 product is exact
+    assert int(np.abs(h).max(initial=0)) * max(MAX_Q, g.d) * g.d < 1 << 53
     out = h.astype(np.float64)
     out.setflags(write=False)
     return out
 
 
 def _facet_min(g: Graph, cand: np.ndarray) -> np.ndarray:
-    """Least homogenised facet value of each candidate row (sum x = 2q):
-    >= 0 inside qP, > 0 in its relative interior; +inf when P has no facets.
+    """Least facet value h.x of each candidate row of a dilation qP: >= 0
+    inside qP, > 0 in its relative interior; +inf when P has no facets.
 
     Evaluated facets-major, one block of rows at a time, so the float64
     working set is bounded however many candidates there are.

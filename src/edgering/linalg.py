@@ -3,9 +3,9 @@
 `eliminate` is Gauss-Jordan elimination in Bareiss's fraction-free form
 (Sylvester's identity and multistep integer-preserving Gaussian elimination,
 Math. Comp. 1968): every entry stays an integer minor of the input, so each
-division by the previous pivot is exact. Rank, pivot columns, integer inverses
-and projections are all read off its output; no floating point or rational
-number enters any geometric decision.
+division by the previous pivot is exact. Rank, pivot columns and integer
+inverses are all read off its output; no floating point or rational number
+enters any geometric decision.
 """
 
 from __future__ import annotations

@@ -1,18 +1,26 @@
 """The edge polytope: exact dimension, facets, and dilation membership.
 
-Facets are produced two independent ways. `facets()` runs a double
-description pass over the vertex list inside a full-dimensional coordinate
-chart, entirely in integer arithmetic. `predicted_facets()` instead builds
-inequalities combinatorially from the graph: coordinate facets at vertices
-whose removal leaves no bipartite component (non-bipartite case) or keeps
-the graph connected (bipartite case), and hyperplane facets from independent
-sets whose neighborhood structure is connected with a suitable complement.
-Both outputs are canonicalized modulo the affine hull so they can be
-compared as halfspace sets.
+P lies on the hyperplane sum x = 2, where a facet a.x >= b of P reads
+(2a - b).x >= 0. So one facet form serves every dilation qP: a primitive
+integer functional h with h.x >= 0 on qP for every q, that is, a facet of
+the cone spanned by the edge vectors. For a non-bipartite graph that cone is
+full-dimensional and h is unique. For a bipartite graph with sides L and R it
+spans the hyperplane (chi_L - chi_R).x = 0, so h is defined only modulo
+chi_L - chi_R; the canonical representative has minimum 0 over L.
 
-All linear algebra (the dimension, the chart, the initial simplicial cone of
-the double description and the projection off the hull) goes through the one
-fraction-free integer elimination in `linalg.eliminate`.
+Facets are produced two independent ways. `EdgePolytope.facets()` runs a
+double description pass with the edge vectors as cone generators, restricted
+to the pivot columns of the vertex matrix where the cone is full-dimensional,
+entirely in integer arithmetic. `predicted_facets()` instead builds the
+functionals combinatorially from the graph: coordinate facets at vertices
+whose removal leaves no bipartite component (non-bipartite case) or keeps the
+graph connected (bipartite case), and hyperplane facets from independent sets
+whose neighborhood structure is connected with a suitable complement. Both
+outputs are brought to the canonical form, so they compare as sets.
+
+The dimension, the chart and the initial simplicial cone of the double
+description go through the one fraction-free integer elimination in
+`linalg.eliminate`.
 """
 
 from __future__ import annotations
@@ -35,22 +43,22 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class FacetInequality:
-    """A facet-defining halfspace a.x >= b, canonical modulo the affine hull.
+    """A facet of the edge polytope as a functional: h.x >= 0 on every
+    dilation qP, with equality exactly on the facet.
 
-    The normal is a primitive integer vector orthogonal to the hull equations,
-    so equal facets compare equal componentwise regardless of how they were
-    found. `provenance` records which construction produced the inequality.
+    The normal h is in the canonical form of `canonical_inequality`, so equal
+    facets compare equal componentwise regardless of how they were found.
+    `provenance` records which construction produced it.
     """
 
     normal: tuple[int, ...]
-    offset: int
     provenance: str = "hull"
 
-    def key(self) -> tuple:
-        return (self.normal, self.offset)
+    def key(self) -> tuple[int, ...]:
+        return self.normal
 
     def to_dict(self) -> dict:
-        return {"normal": list(self.normal), "offset": self.offset, "provenance": self.provenance}
+        return {"normal": list(self.normal), "provenance": self.provenance}
 
 
 def _dot(a, b) -> int:
@@ -73,7 +81,8 @@ class EdgePolytope:
     vertices: tuple[tuple[int, ...], ...]
     dim: int
     hull_equations: tuple[tuple[tuple[int, ...], int], ...]
-    # pivot columns of the vertex differences: a full-dimensional chart
+    # pivot columns of the vertex matrix: a chart where the cone over P is
+    # full-dimensional
     chart: tuple[int, ...]
     _facets: tuple[FacetInequality, ...] | None = field(default=None, repr=False)
 
@@ -82,16 +91,9 @@ class EdgePolytope:
             self._facets = _hull_facets(self)
         return self._facets
 
-    def contains(self, q: int, point) -> str:
-        return contains(self, q, point)
-
     def tight_vertices(self, facet: FacetInequality) -> tuple[int, ...]:
-        """Indices (into self.vertices) where the facet inequality is tight."""
-        a, b = facet.normal, facet.offset
-        return tuple(
-            k for k, v in enumerate(self.vertices)
-            if sum(ai * vi for ai, vi in zip(a, v)) == b
-        )
+        """Indices (into self.vertices) where the facet functional vanishes."""
+        return tuple(k for k, v in enumerate(self.vertices) if _dot(facet.normal, v) == 0)
 
 
 @lru_cache(maxsize=16384)
@@ -103,10 +105,8 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         raise NotConnectedError("edge polytope is defined for connected graphs")
     verts = tuple(_edge_vector(g.d, e) for e in g.edges)
     bip = is_bipartite(g)
-    v0 = verts[0]
-    diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
-    chart = tuple(linalg.eliminate(diffs)[1])
-    dim = len(chart)
+    chart = tuple(linalg.eliminate(verts)[1])
+    dim = len(chart) - 1
     expected = g.d - 2 if bip is not None else g.d - 1
     if dim != expected:
         raise InvariantViolationError(
@@ -118,70 +118,58 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         equations.append((chi, 1))
     for coeffs, rhs in equations:
         for v in verts:
-            if sum(c * x for c, x in zip(coeffs, v)) != rhs:
+            if _dot(coeffs, v) != rhs:
                 raise InvariantViolationError("vertex violates an affine hull equation")
     return EdgePolytope(g, g.d, verts, dim, tuple(equations), chart)
 
 
-# ---------------------------------------------------------------------------
-# Canonicalization modulo the affine hull
-# ---------------------------------------------------------------------------
+def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequality:
+    """The canonical form of the functional h.x >= 0 on the cone over P.
 
-def canonical_inequality(p: EdgePolytope, normal, offset, provenance: str) -> FacetInequality:
-    """Reduce (normal, offset) to the unique representative orthogonal to the hull.
-
-    Adding multiples of hull equations does not change the inequality on the
-    polytope, so the orthogonal representative identifies the halfspace. With
-    the homogenised hull rows H and v = (normal, -offset), eliminating
-    [H H^T | H v] leaves det * I and c = det * (H H^T)^-1 H v, so the
-    projection of v off the rows of H is a positive multiple of
-    sign(det) * (det * v - H^T c).
+    For a bipartite graph, h is first shifted by a multiple of chi_L - chi_R,
+    which vanishes on every edge vector, until its minimum over the left
+    side L (the second hull equation chi_L.x = 1) is 0. Then h is made
+    primitive.
     """
-    hull = [tuple(coeffs) + (-rhs,) for coeffs, rhs in p.hull_equations]
-    vec = tuple(normal) + (-offset,)
-    k = len(hull)
-    system = [[_dot(a, b) for b in hull] + [_dot(a, vec)] for a in hull]
-    reduced, _, det = linalg.eliminate(system, k)
-    coef = [row[k] for row in reduced]
-    sign = 1 if det > 0 else -1
-    ints = linalg.primitive(
-        sign * (det * x - sum(c * h[j] for c, h in zip(coef, hull))) for j, x in enumerate(vec)
-    )
-    if all(x == 0 for x in ints):
-        raise ValueError("inequality is a hull equation, not a facet candidate")
-    return FacetInequality(ints[:-1], -ints[-1], provenance)
+    h = list(normal)
+    if len(p.hull_equations) > 1:
+        chi = p.hull_equations[1][0]
+        t = min(x for x, c in zip(h, chi) if c)
+        h = [x - t if c else x + t for x, c in zip(h, chi)]
+    h = linalg.primitive(h)
+    if not any(h):
+        raise ValueError("functional vanishes on every edge vector, not a facet candidate")
+    return FacetInequality(h, provenance)
 
 
 # ---------------------------------------------------------------------------
 # Hull-side facet computation (double description)
 # ---------------------------------------------------------------------------
 
-def dual_description(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    """Facet inequalities (alpha, beta), alpha.x >= beta, of a full-dimensional
-    polytope given by its integer points.
+def dual_description(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Facet normals h, h.x >= 0, of the full-dimensional cone spanned by the
+    integer vectors `gens`.
 
-    Works on the homogenization (p, 1): facets correspond to extreme rays of
-    the dual cone, built incrementally one point-inequality at a time with the
-    combinatorial adjacency test.
+    The facets are the extreme rays of the dual cone, built incrementally one
+    generator-inequality at a time with the combinatorial adjacency test.
     """
-    n = len(points[0])
-    gens = [tuple(pt) + (1,) for pt in points]
+    n = len(gens[0])
 
-    # Reorder so the first n+1 generators are linearly independent; the
+    # Reorder so the first n generators are linearly independent; the
     # initial cone is then simplicial and all intermediate cones are pointed.
     # The pivot columns of the transpose are the greedy, first-come choice.
     indep = linalg.eliminate(list(zip(*gens)))[1]
-    if len(indep) < n + 1:
-        raise InvariantViolationError("points are not full-dimensional in the chart")
+    if len(indep) < n:
+        raise InvariantViolationError("generators do not span the chart")
     chosen = set(indep)
     order = indep + [i for i in range(len(gens)) if i not in chosen]
 
     # Eliminating [base | I] leaves det * base^-1 on the right; its columns,
     # signed by det, point along the extreme rays of the initial cone.
     base = [list(gens[i]) + [int(i == j) for j in indep] for i in indep]
-    reduced, _, det = linalg.eliminate(base, n + 1)
+    reduced, _, det = linalg.eliminate(base, n)
     sign = 1 if det > 0 else -1
-    rays = [linalg.primitive(sign * row[n + 1 + j] for row in reduced) for j in range(n + 1)]
+    rays = [linalg.primitive(sign * row[n + j] for row in reduced) for j in range(n)]
 
     def zero_mask(ray, upto: int) -> int:
         mask = 0
@@ -190,15 +178,13 @@ def dual_description(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
                 mask |= 1 << k
         return mask
 
-    processed = n + 1
-    masks = [zero_mask(r, processed) for r in rays]
+    masks = [zero_mask(r, n) for r in rays]
 
-    for step in range(n + 1, len(order)):
+    for step in range(n, len(order)):
         h = gens[order[step]]
         vals = [_dot(h, r) for r in rays]
         if all(v >= 0 for v in vals):
             masks = [m | (1 << step) if vals[k] == 0 else m for k, m in enumerate(masks)]
-            processed += 1
             continue
         plus = [k for k, v in enumerate(vals) if v > 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
@@ -212,7 +198,7 @@ def dual_description(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
         for kp in plus:
             for km in minus:
                 common = masks[kp] & masks[km]
-                if common.bit_count() < n - 1:
+                if common.bit_count() < n - 2:
                     continue
                 adjacent = True
                 for other, om in enumerate(masks):
@@ -232,32 +218,22 @@ def dual_description(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
                 new_rays.append(combo)
                 new_masks.append(zero_mask(combo, step + 1))
         rays, masks = new_rays, new_masks
-        processed += 1
 
-    out = []
-    for r in rays:
-        alpha, beta = r[:-1], -r[-1]
-        out.append((tuple(alpha), beta))
-    return out
+    return rays
 
 
 def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
     if p.dim < 1:
         return ()
-    chart_points = [tuple(v[c] for c in p.chart) for v in p.vertices]
-    raw = dual_description(chart_points)
+    gens = [tuple(v[c] for c in p.chart) for v in p.vertices]
     facets = []
-    for alpha, beta in raw:
+    for ray in dual_description(gens):
+        # zero off the chart: h.v = ray.(v on the chart) for every edge vector v
         normal = [0] * p.d
-        for c, a in zip(p.chart, alpha):
+        for c, a in zip(p.chart, ray):
             normal[c] = a
-        facets.append(canonical_inequality(p, normal, beta, "hull"))
-    uniq = {f.key(): f for f in facets}
-    return tuple(sorted(uniq.values(), key=FacetInequality.key))
-
-
-def facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
-    return p.facets()
+        facets.append(canonical_inequality(p, normal, "hull"))
+    return tuple(sorted(facets, key=FacetInequality.key))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +297,8 @@ def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
     bip = is_bipartite(g)
     found: dict[tuple, FacetInequality] = {}
 
-    def record(normal, offset, provenance):
-        f = canonical_inequality(p, normal, offset, provenance)
+    def record(normal, provenance):
+        f = canonical_inequality(p, normal, provenance)
         found.setdefault(f.key(), f)
 
     for i in g.vertices():
@@ -334,7 +310,7 @@ def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
         if ok:
             normal = [0] * g.d
             normal[i - 1] = 1
-            record(normal, 0, f"coordinate({i})")
+            record(normal, f"coordinate({i})")
 
     verts = list(g.vertices())
     adj = adjacency(g)
@@ -362,7 +338,7 @@ def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
         for v in t:
             normal[v - 1] = -1
         kind = "fundamental" if bip is None else "acceptable"
-        record(normal, 0, f"{kind}({sorted(t)},{sorted(nbhd)})")
+        record(normal, f"{kind}({sorted(t)},{sorted(nbhd)})")
 
     return tuple(sorted(found.values(), key=FacetInequality.key))
 
@@ -382,14 +358,9 @@ def contains(p: EdgePolytope, q: int, point) -> str:
     pt = tuple(point)
     if len(pt) != p.d:
         raise ValueError(f"point has {len(pt)} coordinates, expected {p.d}")
-    for coeffs, rhs in p.hull_equations:
-        if sum(c * x for c, x in zip(coeffs, pt)) != q * rhs:
-            return "outside"
-    strict = True
-    for f in p.facets():
-        val = sum(a * x for a, x in zip(f.normal, pt))
-        if val < q * f.offset:
-            return "outside"
-        if val == q * f.offset:
-            strict = False
-    return "interior" if strict else "boundary"
+    if any(_dot(coeffs, pt) != q * rhs for coeffs, rhs in p.hull_equations):
+        return "outside"
+    vals = [_dot(f.normal, pt) for f in p.facets()]
+    if any(v < 0 for v in vals):
+        return "outside"
+    return "interior" if all(v > 0 for v in vals) else "boundary"

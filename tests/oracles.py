@@ -259,18 +259,17 @@ def brute_window(g: Graph, q: int) -> tuple[set[tuple[int, ...]], set[tuple[int,
     """(lattice points, relative-interior points) of qP, q >= 1.
 
     Scans every vector of the box [0, q]^d, keeps those on the scaled affine
-    hull and tests each facet a.x >= q*b of the edge polytope as written, in
-    exact integers (a.x > q*b for the interior); no homogenisation, no numpy.
+    hull and tests each facet functional h.x >= 0 of the edge polytope, in
+    exact integers (h.x > 0 for the interior); no numpy.
     """
     p = edge_polytope(g)
-    facets = [(f.normal, f.offset) for f in p.facets()]
     points: set[tuple[int, ...]] = set()
     interior: set[tuple[int, ...]] = set()
     for x in product(range(q + 1), repeat=g.d):
         if any(sum(c * v for c, v in zip(coeffs, x)) != q * rhs
                for coeffs, rhs in p.hull_equations):
             continue
-        slack = [sum(a * v for a, v in zip(normal, x)) - q * b for normal, b in facets]
+        slack = [sum(a * v for a, v in zip(f.normal, x)) for f in p.facets()]
         if all(s >= 0 for s in slack):
             points.add(x)
             if all(s > 0 for s in slack):

@@ -20,7 +20,10 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
 * window: per graph, `repr` of `(g.edges, lattice counts, interior counts,
   list(h_star(g)), min_interior_q(g))` plus a newline, counts for
   q = 0..dim + 2, over the normal graphs with 2 <= n <= 7 and every 25th
-  normal graph with n = 8 (1,427 graphs).
+  normal graph with n = 8 (1,427 graphs);
+* facets: per graph, `repr` of `(g.edges, p.dim, sorted tight-vertex index
+  tuples of p.facets())` plus a newline, over the graphs of analyze. Tight
+  sets do not depend on how a facet is written.
 
 Takes under a minute; pytest does not collect this file.
 """
@@ -50,6 +53,7 @@ PINNED = {
     "codes n=8": "29a211dbd6e124bd6f9250fe1ac425fec4d129432db730bd8e0815ed76ec0511",
     "automorphisms n<=7": "edfb1a967ea607f396a2a5803a5e11f20014667111de0386249e1cd5e18cfd42",
     "window": "6c0143a68581c36a876e8522336b8a2a1b792051dda7a11e4756aa5401c81506",
+    "facets": "de5827d093ed60f3cc5cd5ddf60c91566632620d63ca4bfc11374088f98fcf38",
 }
 
 
@@ -64,10 +68,14 @@ def _run(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _graphs() -> list:
+    """Every connected graph with 2 <= n <= 7 and every 25th with n = 8."""
+    return [g for n in range(2, 8) for g in connected_graphs(n)] + connected_graphs(8)[::25]
+
+
 def _analyze_digest() -> str:
-    graphs = [g for n in range(2, 8) for g in connected_graphs(n)] + connected_graphs(8)[::25]
     lines = []
-    for g in graphs:
+    for g in _graphs():
         report = analyze(g).to_dict()
         report.pop("seconds")
         lines.append(json.dumps(report, sort_keys=True) + "\n")
@@ -104,6 +112,15 @@ def _window_digest() -> str:
     return _sha("".join(lines))
 
 
+def _facets_digest() -> str:
+    lines = []
+    for g in _graphs():
+        p = edge_polytope(g)
+        tight = sorted(p.tight_vertices(f) for f in p.facets())
+        lines.append(repr((g.edges, p.dim, tight)) + "\n")
+    return _sha("".join(lines))
+
+
 def _digests():
     """(name, digest) for every output, in the order they are printed."""
     yield "analyze", _analyze_digest()
@@ -116,6 +133,7 @@ def _digests():
     counts = [[automorphism_count(g) for g in connected_graphs(n)] for n in range(1, 8)]
     yield "automorphisms n<=7", _sha(repr(counts))
     yield "window", _window_digest()
+    yield "facets", _facets_digest()
 
 
 def main_digests() -> int:

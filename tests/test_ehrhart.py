@@ -115,6 +115,14 @@ def test_min_interior_q_examples():
         min_interior_q(two_triangles_path(2))
 
 
+def test_interior_search_beyond_the_window_bound():
+    # the interior search runs up to q = dim + 1 = 16, past the window's
+    # MAX_Q, so the facet kernel's exactness bound must cover q = 16
+    assert edgering.ehrhart.MAX_Q < 16
+    for g in (star_graph(17), complete_bipartite_graph(2, 16)):
+        assert min_interior_q(g) == 16
+
+
 def test_h_star_examples():
     assert h_star(complete_graph(3)) == (1,)
     assert h_star(cycle_graph(4)) == (1, 1)
