@@ -15,13 +15,9 @@ from math import gcd
 
 def primitive(vec) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
-    vals = [int(x) for x in vec]
-    g = 0
-    for x in vals:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(vals)
-    return tuple(x // g for x in vals)
+    vals = tuple(vec)
+    g = gcd(*vals)
+    return tuple(x // g for x in vals) if g > 1 else vals
 
 
 def eliminate(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int], int]:
@@ -53,9 +49,13 @@ def eliminate(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int
         prow = mat[r]
         p = prow[col]
         for i, row in enumerate(mat):
-            if i != r:
-                f = row[col]
+            if i == r:
+                continue
+            f = row[col]
+            if f:
                 mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                mat[i] = [p * a // prev for a in row]
         pivots.append(col)
         prev = p
         r += 1

@@ -9,18 +9,21 @@ spans the hyperplane (chi_L - chi_R).x = 0, so h is defined only modulo
 chi_L - chi_R; the canonical representative has minimum 0 over L.
 
 Facets are produced two independent ways. `EdgePolytope.facets()` runs a
-double description pass with the edge vectors as cone generators, restricted
-to the pivot columns of the vertex matrix where the cone is full-dimensional,
-entirely in integer arithmetic. `predicted_facets()` instead builds the
-functionals combinatorially from the graph: coordinate facets at vertices
+double description pass with the edge vectors as cone generators, in R^d
+and entirely in integer arithmetic: a ray's value on edge {i, j} is
+r_i + r_j, and for a bipartite graph each ray is a representative modulo
+chi_L - chi_R. `predicted_facets()` instead builds the functionals
+combinatorially from the graph: coordinate facets at vertices
 whose removal leaves no bipartite component (non-bipartite case) or keeps the
 graph connected (bipartite case), and hyperplane facets from independent sets
 whose neighborhood structure is connected with a suitable complement. Both
 outputs are brought to the canonical form, so they compare as sets.
 
-The dimension, the chart and the initial simplicial cone of the double
-description go through the one fraction-free integer elimination in
-`linalg.eliminate`.
+One fraction-free elimination per graph (`linalg.eliminate` on [V^T | I],
+V the edge vectors) gives the dimension, the basis edges (its pivot
+columns), the initial simplicial cone of the double description (the right
+block of each pivot row) and each initial ray's zero set (the left block of
+the same row, which holds that ray's value on every edge).
 """
 
 from __future__ import annotations
@@ -57,9 +60,6 @@ class FacetInequality:
     def key(self) -> tuple[int, ...]:
         return self.normal
 
-    def to_dict(self) -> dict:
-        return {"normal": list(self.normal), "provenance": self.provenance}
-
 
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
@@ -81,14 +81,17 @@ class EdgePolytope:
     vertices: tuple[tuple[int, ...], ...]
     dim: int
     hull_equations: tuple[tuple[tuple[int, ...], int], ...]
-    # pivot columns of the vertex matrix: a chart where the cone over P is
-    # full-dimensional
-    chart: tuple[int, ...]
+    # the initial cone of the double description, kept only until facets()
+    # runs: (order, rays, masks), the edge indices in processing order with
+    # the basis edges first, one primitive ray per basis edge, and each ray's
+    # zero set over all edges as a bitmask on positions in `order`
+    _cone: tuple | None = field(default=None, repr=False)
     _facets: tuple[FacetInequality, ...] | None = field(default=None, repr=False)
 
     def facets(self) -> tuple[FacetInequality, ...]:
         if self._facets is None:
             self._facets = _hull_facets(self)
+            self._cone = None
         return self._facets
 
     def tight_vertices(self, facet: FacetInequality) -> tuple[int, ...]:
@@ -105,8 +108,12 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         raise NotConnectedError("edge polytope is defined for connected graphs")
     verts = tuple(_edge_vector(g.d, e) for e in g.edges)
     bip = is_bipartite(g)
-    chart = tuple(linalg.eliminate(verts)[1])
-    dim = len(chart) - 1
+    # Eliminating [V^T | I] leaves, in pivot row i, a functional (the right
+    # block) and its values on every edge vector (the left block): det on the
+    # i-th basis edge and 0 on the other basis edges.
+    aug = [[v[k] for v in verts] + [int(k == j) for j in range(g.d)] for k in range(g.d)]
+    reduced, basis, det = linalg.eliminate(aug, g.m)
+    dim = len(basis) - 1
     expected = g.d - 2 if bip is not None else g.d - 1
     if dim != expected:
         raise InvariantViolationError(
@@ -120,7 +127,15 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         for v in verts:
             if _dot(coeffs, v) != rhs:
                 raise InvariantViolationError("vertex violates an affine hull equation")
-    return EdgePolytope(g, g.d, verts, dim, tuple(equations), chart)
+    chosen = set(basis)
+    order = tuple(basis + [e for e in range(g.m) if e not in chosen])
+    sign = 1 if det > 0 else -1
+    rays = [linalg.primitive(sign * x for x in row[g.m:]) for row in reduced[: len(basis)]]
+    masks = [
+        sum(1 << k for k, e in enumerate(order) if row[e] == 0)
+        for row in reduced[: len(basis)]
+    ]
+    return EdgePolytope(g, g.d, verts, dim, tuple(equations), (order, rays, masks))
 
 
 def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequality:
@@ -146,94 +161,57 @@ def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequ
 # Hull-side facet computation (double description)
 # ---------------------------------------------------------------------------
 
-def dual_description(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Facet normals h, h.x >= 0, of the full-dimensional cone spanned by the
-    integer vectors `gens`.
+def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
+    """Facets of the cone over P, the extreme rays of its dual cone, built
+    incrementally one edge inequality at a time from the simplicial initial
+    cone of `edge_polytope` with the combinatorial adjacency test.
 
-    The facets are the extreme rays of the dual cone, built incrementally one
-    generator-inequality at a time with the combinatorial adjacency test.
+    The initial cone is simplicial, so every intermediate cone is pointed
+    (modulo chi_L - chi_R when G is bipartite) and each new ray comes from
+    exactly one adjacent pair.
     """
-    n = len(gens[0])
-
-    # Reorder so the first n generators are linearly independent; the
-    # initial cone is then simplicial and all intermediate cones are pointed.
-    # The pivot columns of the transpose are the greedy, first-come choice.
-    indep = linalg.eliminate(list(zip(*gens)))[1]
-    if len(indep) < n:
-        raise InvariantViolationError("generators do not span the chart")
-    chosen = set(indep)
-    order = indep + [i for i in range(len(gens)) if i not in chosen]
-
-    # Eliminating [base | I] leaves det * base^-1 on the right; its columns,
-    # signed by det, point along the extreme rays of the initial cone.
-    base = [list(gens[i]) + [int(i == j) for j in indep] for i in indep]
-    reduced, _, det = linalg.eliminate(base, n)
-    sign = 1 if det > 0 else -1
-    rays = [linalg.primitive(sign * row[n + j] for row in reduced) for j in range(n)]
-
-    def zero_mask(ray, upto: int) -> int:
-        mask = 0
-        for k in range(upto):
-            if _dot(gens[order[k]], ray) == 0:
-                mask |= 1 << k
-        return mask
-
-    masks = [zero_mask(r, n) for r in rays]
-
+    if p.dim < 1:
+        return ()
+    order, rays, masks = p._cone
+    n = len(rays)
+    edges = [p.graph.edges[e] for e in order]
     for step in range(n, len(order)):
-        h = gens[order[step]]
-        vals = [_dot(h, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            masks = [m | (1 << step) if vals[k] == 0 else m for k, m in enumerate(masks)]
+        i, j = edges[step]
+        vals = [r[i - 1] + r[j - 1] for r in rays]
+        bit = 1 << step
+        if min(vals) >= 0:
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
             continue
         plus = [k for k, v in enumerate(vals) if v > 0]
-        zero = [k for k, v in enumerate(vals) if v == 0]
         minus = [k for k, v in enumerate(vals) if v < 0]
-        new_rays: list[tuple[int, ...]] = []
-        new_masks: list[int] = []
-        for k in plus + zero:
-            new_rays.append(rays[k])
-            new_masks.append(masks[k] | ((1 << step) if vals[k] == 0 else 0))
-        seen = set(new_rays)
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v >= 0]
+        # the initial masks also cover edges not processed yet
+        done = bit - 1
         for kp in plus:
             for km in minus:
-                common = masks[kp] & masks[km]
+                common = masks[kp] & masks[km] & done
                 if common.bit_count() < n - 2:
                     continue
                 adjacent = True
                 for other, om in enumerate(masks):
-                    if other in (kp, km):
-                        continue
-                    if common & om == common:
+                    if common & om == common and other != kp and other != km:
                         adjacent = False
                         break
                 if not adjacent:
                     continue
+                # both parents are >= 0 on every processed edge, so the
+                # combination vanishes exactly where both do, and on this one
                 lam, mu = vals[kp], -vals[km]
-                combo = tuple(mu * a + lam * b for a, b in zip(rays[kp], rays[km]))
-                combo = linalg.primitive(combo)
-                if combo in seen:
-                    continue
-                seen.add(combo)
-                new_rays.append(combo)
-                new_masks.append(zero_mask(combo, step + 1))
+                new_rays.append(
+                    linalg.primitive(mu * a + lam * b for a, b in zip(rays[kp], rays[km]))
+                )
+                new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-
-    return rays
-
-
-def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
-    if p.dim < 1:
-        return ()
-    gens = [tuple(v[c] for c in p.chart) for v in p.vertices]
-    facets = []
-    for ray in dual_description(gens):
-        # zero off the chart: h.v = ray.(v on the chart) for every edge vector v
-        normal = [0] * p.d
-        for c, a in zip(p.chart, ray):
-            normal[c] = a
-        facets.append(canonical_inequality(p, normal, "hull"))
-    return tuple(sorted(facets, key=FacetInequality.key))
+    facets = sorted((canonical_inequality(p, r, "hull") for r in rays), key=FacetInequality.key)
+    if len({f.key() for f in facets}) != len(facets):
+        raise InvariantViolationError("double description produced a facet twice")
+    return tuple(facets)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,21 @@ from math import gcd
 
 import pytest
 
+from edgering import linalg
 from edgering.enumeration import connected_graphs
 from edgering.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     is_bipartite,
+    make_family,
     path_graph,
     star_graph,
     two_triangles_path,
 )
 from edgering.ehrhart import lattice_points
 from edgering.polytope import (
+    _dot,
     canonical_inequality,
     contains,
     edge_polytope,
@@ -107,6 +110,50 @@ def test_predicted_equals_hull_exhaustive_d5():
             assert hull == pred, f"facet mismatch on {g}"
 
 
+def test_predicted_equals_hull_beyond_digest_scope():
+    # bipartite and non-bipartite graphs at d = 9..13, where the DD runs on
+    # representatives modulo chi_L - chi_R for the bipartite ones
+    for spec in [
+        "complete_bipartite(6,6)",
+        "complete_bipartite(2,9)",
+        "attach_path(complete_bipartite(5,5),1,2)",
+        "path(13)",
+        "cycle(11)",
+        "attach_path(complete(8),1,4)",
+        "two_triangles_path(4)",
+    ]:
+        g = make_family(spec)
+        hull = {f.key() for f in edge_polytope(g).facets()}
+        assert hull == {f.key() for f in predicted_facets(g)}, spec
+
+
+def test_one_elimination_gives_the_initial_cone_d6(monkeypatch):
+    calls = []
+    kernel = linalg.eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eliminate", counted)
+    for n in range(2, 7):
+        for g in connected_graphs(n):
+            calls.clear()
+            p = edge_polytope.__wrapped__(g)  # uncached, so the cone is still held
+            order, rays, masks = p._cone
+            assert sorted(order) == list(range(g.m))
+            assert len(rays) == len(masks) == p.dim + 1
+            for k in range(len(rays)):
+                vals = [_dot(r, p.vertices[order[k]]) for r in rays]
+                assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), g
+            for r, mask in zip(rays, masks):
+                zero = [_dot(r, p.vertices[e]) == 0 for e in order]
+                assert mask == sum(1 << k for k, z in enumerate(zero) if z), g
+            p.facets()
+            assert p._cone is None
+            assert len(calls) == 1, g
+
+
 def test_facets_match_bruteforce_candidate_hyperplanes():
     for g in [
         complete_graph(3),
@@ -170,16 +217,6 @@ def test_facets_deterministic_order():
     p1 = edge_polytope(complete_graph(4))
     keys = [f.key() for f in p1.facets()]
     assert keys == sorted(keys)
-
-
-def test_facet_json_round_trip():
-    import json
-
-    f = edge_polytope(complete_graph(3)).facets()[0]
-    blob = json.dumps(f.to_dict())
-    back = json.loads(blob)
-    assert tuple(back["normal"]) == f.normal
-    assert back["provenance"] == f.provenance
 
 
 def test_canonical_inequality_identifies_equivalent_forms():
