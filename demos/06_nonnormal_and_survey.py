@@ -16,7 +16,6 @@ from edgering import (
     fibers,
     matching_number,
     minimal_generator_degrees,
-    principal_regularity,
     question5_sweep,
     two_triangles_path,
 )
@@ -28,7 +27,7 @@ print(f"{'l':>3s} {'d':>3s} {'gen degree':>11s} {'reg cert':>9s} {'mat':>4s} {'r
 for ell in (1, 2, 3, 4):
     g = two_triangles_path(ell)
     prof = minimal_generator_degrees(g, ell + 4)
-    reg = principal_regularity(g, ell + 4)
+    reg = prof.principal_reg
     mat = matching_number(g)
     assert prof.degrees == (ell + 3,)
     print(f"{ell:3d} {g.d:3d} {prof.degrees[0]:11d} {reg:9d} {mat:4d} {reg - mat:10d}")

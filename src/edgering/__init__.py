@@ -63,6 +63,6 @@ from .polytope import (
     edge_polytope,
     predicted_facets,
 )
-from .toric import Fiber, GeneratorProfile, fibers, minimal_generator_degrees, principal_regularity
+from .toric import Fiber, GeneratorProfile, fibers, minimal_generator_degrees
 
 __version__ = "0.1.0"

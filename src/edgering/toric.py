@@ -3,12 +3,13 @@
 The defining ideal is spanned in each degree by differences of monomials
 sharing a multidegree (a fiber). A relation u - v lies in the subideal
 generated below degree q exactly when u and v are linked by moves that cancel
-a common variable, so the number of minimal generators contributed by a
-fiber is its number of gcd-connectivity components minus one. That count is
-validated against an exhaustive linear-algebra oracle in the test suite.
-
-Everything here is certified only up to the requested degree bound, and the
-profile records that bound.
+a common variable, so a fiber contributes its number of gcd-connectivity
+components minus one minimal generators. One pass per degree counts them for
+every fiber at once: base-16 multidegree codes, one sort, and the components
+of one graph linking the monomials of a fiber that share an edge variable.
+The tests check it against a fiber-by-fiber search (tests/oracles.py) and
+exact linear algebra. Results are certified only up to the degree bound,
+which the profile records.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrhart import MAX_Q, BudgetExceededError, _compositions, _pack
+from .ehrhart import MAX_Q, BudgetExceededError, _compositions, _radix_weights, _unpack
 from .graphs import Graph
+from .polytope import InvariantViolationError
 
 DEFAULT_MONOMIAL_BUDGET = 2_000_000
 
@@ -56,7 +58,7 @@ class GeneratorProfile:
         return {"degrees": list(self.degrees), "complete_up_to": self.complete_up_to}
 
 
-def _guard(g: Graph, q: int, budget: int) -> int:
+def _guard(g: Graph, q: int, budget: int) -> None:
     count = math.comb(g.m + q - 1, q)
     if count > budget:
         raise BudgetExceededError(
@@ -64,72 +66,81 @@ def _guard(g: Graph, q: int, budget: int) -> int:
         )
     if q > MAX_Q:
         raise BudgetExceededError(f"degree {q} exceeds the supported bound {MAX_Q}")
-    return count
 
 
-def _exponent_groups(g: Graph, q: int, budget: int):
-    """Exponent vectors of degree q grouped by multidegree.
-
-    Yields (multidegree_row, exponent_block) for every multidegree shared by
-    at least two exponent vectors.
-    """
-    _guard(g, q, budget)
-    expo = np.asarray(_compositions(q, g.m, q))
-    incidence = np.zeros((g.m, g.d), dtype=np.int64)
+def _shared_fibers(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(expo, rows, codes, fiber): all degree-q exponent vectors, the indices
+    of those sharing their multidegree sorted by its base-16 code, the codes,
+    and fiber numbers 1, 2, ... along `rows`. Coordinates are at most q."""
+    expo = _compositions(q, g.m, q)
+    weights = _radix_weights(g.d, q)
+    codes = np.zeros(len(expo), dtype=np.int64)
     for k, (i, j) in enumerate(g.edges):
-        incidence[k, i - 1] = 1
-        incidence[k, j - 1] = 1
-    degs = expo.astype(np.int64) @ incidence
-    codes = _pack(degs)
-    order = np.argsort(codes, kind="stable")
+        # column by column: `expo @ deltas` would first cast all of expo to int64
+        codes += expo[:, k] * (weights[i - 1] + weights[j - 1])
+    order = np.argsort(codes)
     codes = codes[order]
-    expo = expo[order]
-    degs = degs[order]
-    boundaries = np.flatnonzero(np.diff(codes)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(codes)]])
-    shared = ends - starts >= 2
-    for s, e in zip(starts[shared].tolist(), ends[shared].tolist()):
-        yield degs[s], expo[s:e]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    shared = ~first
+    shared[:-1] |= ~first[1:]
+    return expo, order[shared], codes[shared], np.cumsum(first[shared])
 
 
-def _fiber_components(expo_block: np.ndarray) -> int:
-    """Components of the graph joining monomials that share an edge variable."""
-    support = expo_block > 0
-    adj = (support.astype(np.int16) @ support.astype(np.int16).T) > 0
-    n = len(expo_block)
-    seen = [False] * n
-    comps = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for u in np.flatnonzero(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-    return comps
+def _components(a: np.ndarray, b: np.ndarray, n: int) -> int:
+    """Connected components of the graph on nodes 0..n-1 with edges (a, b).
+
+    Min-label propagation with pointer jumping: each round hooks both roots
+    of every unsettled edge onto the smaller one, jumps every pointer to its
+    root and drops the edges now inside one star. Some edge settles in each
+    round, so the loop ends with one star per component, on its least node.
+    """
+    label = np.arange(n, dtype=np.min_scalar_type(n))
+    while len(a):
+        ra, rb = label[a], label[b]
+        low = np.minimum(ra, rb)
+        np.minimum.at(label, ra, low)
+        np.minimum.at(label, rb, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        unsettled = label[a] != label[b]
+        if unsettled.all():
+            raise InvariantViolationError("component labels stopped merging")
+        a, b = a[unsettled], b[unsettled]
+    return int(np.count_nonzero(label == np.arange(n)))
 
 
-def _expo_to_monomial(g: Graph, expo_row) -> tuple[tuple[int, int], ...]:
-    mono: list[tuple[int, int]] = []
-    for k, count in enumerate(expo_row.tolist()):
-        mono.extend([g.edges[k]] * count)
-    return tuple(mono)
+def _generator_count(g: Graph, q: int) -> int:
+    """Minimal generators at degree q: the gcd-connectivity components of all
+    shared fibers, minus the number of shared fibers."""
+    expo, rows, _, fiber = _shared_fibers(g, q)
+    a, b = [], []
+    for k in range(g.m):
+        # the shared monomials using edge variable k, in fiber order; links
+        # between neighbours in the same fiber join all of them
+        uses = np.flatnonzero(expo[rows, k]).astype(np.min_scalar_type(len(rows)))
+        same = fiber[uses[1:]] == fiber[uses[:-1]]
+        a.append(uses[:-1][same])
+        b.append(uses[1:][same])
+    return _components(np.concatenate(a), np.concatenate(b), len(rows)) - int(fiber.max(initial=0))
 
 
 def fibers(g: Graph, q: int, budget: int = DEFAULT_MONOMIAL_BUDGET) -> list[Fiber]:
     """Fibers at degree q with at least two monomials, sorted by multidegree."""
     if q < 1:
         raise ValueError("q must be >= 1")
+    _guard(g, q, budget)
+    expo, rows, codes, fiber = _shared_fibers(g, q)
+    starts = np.flatnonzero(np.diff(fiber, prepend=0))
+    bounds = starts.tolist() + [len(rows)]
     out = []
-    for deg_row, block in _exponent_groups(g, q, budget):
-        monos = tuple(sorted(_expo_to_monomial(g, row) for row in block))
-        out.append(Fiber(tuple(int(x) for x in deg_row), monos))
+    for multidegree, s, e in zip(_unpack(codes[starts], g.d), bounds, bounds[1:]):
+        monos = tuple(sorted(tuple(edge for edge, c in zip(g.edges, expo[r].tolist())
+                                   for _ in range(c)) for r in rows[s:e]))
+        out.append(Fiber(multidegree, monos))
     out.sort(key=lambda f: f.multidegree)
     return out
 
@@ -140,25 +151,12 @@ def minimal_generator_degrees(
     """Count minimal generators of the defining ideal per degree, up to q_max.
 
     Each fiber contributes (components of its gcd graph - 1) generators at its
-    degree; degrees are returned as a sorted multiset.
+    degree; degrees are returned as a sorted multiset. Every degree is checked
+    against the budget before any is counted.
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
-    degrees: list[int] = []
     for q in range(2, q_max + 1):
-        for _deg_row, block in _exponent_groups(g, q, budget):
-            comps = _fiber_components(block)
-            degrees.extend([q] * (comps - 1))
-    return GeneratorProfile(tuple(sorted(degrees)), q_max)
-
-
-def principal_regularity(
-    g: Graph, q_max: int, budget: int = DEFAULT_MONOMIAL_BUDGET
-) -> int | None:
-    """Regularity certificate when the ideal is principal up to the bound.
-
-    A single generator of degree D up to q_max gives regularity D - 1 (a
-    hypersurface ring); the result is only certified up to q_max. Returns
-    None when zero or several generators were found.
-    """
-    return minimal_generator_degrees(g, q_max, budget).principal_reg
+        _guard(g, q, budget)
+    degrees = [q for q in range(2, q_max + 1) for _ in range(_generator_count(g, q))]
+    return GeneratorProfile(tuple(degrees), q_max)

@@ -4,8 +4,8 @@ These deliberately avoid the algorithms they check: matching and covering by
 exhaustive search, membership by Caratheodory-style subset solving, facets by
 candidate-hyperplane enumeration, dilation windows by scanning the whole box,
 h* from the full window's counts without reciprocity, sumsets and fibers by
-grouping edge multisets in a dict, generator counts by exact linear algebra,
-and labeled connected-graph counts by the classical recurrence. The rational
+grouping edge multisets in a dict, generator counts by exact linear algebra
+and fiber by fiber with a search of each gcd graph, and labeled connected-graph counts by the classical recurrence. The rational
 elimination helpers are standalone so the oracles share nothing with the
 package implementation.
 """
@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+
+import numpy as np
 
 from edgering.graphs import Graph, adjacency
 from edgering.polytope import edge_polytope
@@ -365,6 +367,45 @@ def generator_count_oracle(g: Graph, q: int) -> int:
                     rows.append(row)
     lower_dim = frac_rank(rows) if rows else 0
     return relation_dim - lower_dim
+
+
+def fiber_components(expo_block: np.ndarray) -> int:
+    """Components of the graph joining the monomials of one fiber (rows of
+    exponent vectors) that share an edge variable, by depth-first search."""
+    support = expo_block > 0
+    adj = (support.astype(np.int16) @ support.astype(np.int16).T) > 0
+    n = len(expo_block)
+    seen = [False] * n
+    comps = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        comps += 1
+        stack = [start]
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            for u in np.flatnonzero(adj[v]):
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(int(u))
+    return comps
+
+
+def fiber_generator_count(g: Graph, q: int) -> int:
+    """Minimal generators in degree q, one fiber at a time: the sum over the
+    multidegree classes of at least two monomials of (components - 1)."""
+    column = {e: k for k, e in enumerate(g.edges)}
+    total = 0
+    for combos in multidegree_classes(g, q).values():
+        if len(combos) < 2:
+            continue
+        block = np.zeros((len(combos), g.m), dtype=np.int64)
+        for row, combo in enumerate(combos):
+            for e in combo:
+                block[row, column[e]] += 1
+        total += fiber_components(block) - 1
+    return total
 
 
 # ---------------------------------------------------------------------------

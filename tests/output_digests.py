@@ -24,6 +24,10 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
 * facets: per graph, `repr` of `(g.edges, p.dim, sorted tight-vertex index
   tuples of p.facets())` plus a newline, over the graphs of analyze. Tight
   sets do not depend on how a facet is written.
+* toric: per graph, `repr` of `(g.edges, minimal_generator_degrees(g, b).degrees)`
+  plus a newline, then per q = 1..4 `repr` of `(g.edges, q, fibers(g, q))` plus
+  a newline, over the six non-normal connected graphs with n = 7 at
+  b = dim + 2 and `two_triangles_path(l)`, l = 1..6, at b = l + 4.
 
 Takes under a minute; pytest does not collect this file.
 """
@@ -42,8 +46,10 @@ from edgering.analysis import analyze
 from edgering.cli import main
 from edgering.ehrhart import h_star, interior_count, lattice_count, min_interior_q
 from edgering.enumeration import automorphism_count, connected_graph_bits, connected_graphs
+from edgering.graphs import two_triangles_path
 from edgering.normality import is_normal
 from edgering.polytope import edge_polytope
+from edgering.toric import fibers, minimal_generator_degrees
 
 PINNED = {
     "analyze": "1b0b6fd0fbb7a4aad8d69660ad21f69443455be68f5335934fad13f7fe3fb2f6",
@@ -54,6 +60,7 @@ PINNED = {
     "automorphisms n<=7": "edfb1a967ea607f396a2a5803a5e11f20014667111de0386249e1cd5e18cfd42",
     "window": "6c0143a68581c36a876e8522336b8a2a1b792051dda7a11e4756aa5401c81506",
     "facets": "de5827d093ed60f3cc5cd5ddf60c91566632620d63ca4bfc11374088f98fcf38",
+    "toric": "23ef35ebd96e99df6117bbb22478255d687f17fdabe513eae4ac609fe1f62b41",
 }
 
 
@@ -121,6 +128,16 @@ def _facets_digest() -> str:
     return _sha("".join(lines))
 
 
+def _toric_digest() -> str:
+    jobs = [(g, edge_polytope(g).dim + 2) for g in connected_graphs(7) if not is_normal(g)]
+    jobs += [(two_triangles_path(ell), ell + 4) for ell in range(1, 7)]
+    lines = []
+    for g, bound in jobs:
+        lines.append(repr((g.edges, minimal_generator_degrees(g, bound).degrees)) + "\n")
+        lines.extend(repr((g.edges, q, fibers(g, q))) + "\n" for q in range(1, 5))
+    return _sha("".join(lines))
+
+
 def _digests():
     """(name, digest) for every output, in the order they are printed."""
     yield "analyze", _analyze_digest()
@@ -134,6 +151,7 @@ def _digests():
     yield "automorphisms n<=7", _sha(repr(counts))
     yield "window", _window_digest()
     yield "facets", _facets_digest()
+    yield "toric", _toric_digest()
 
 
 def main_digests() -> int:

@@ -25,7 +25,7 @@ from edgering.graphs import is_bipartite, two_triangles_path
 from edgering.matching import is_edge_cover, is_matching, matching_number, maximum_matching, min_edge_cover
 from edgering.normality import is_normal
 from edgering.polytope import edge_polytope, predicted_facets
-from edgering.toric import minimal_generator_degrees, principal_regularity
+from edgering.toric import minimal_generator_degrees
 from oracles import brute_matching_number
 
 
@@ -132,7 +132,7 @@ def test_criterion_3_two_triangle_family():
         assert is_normal(g) == (ell == 1)
         profile = minimal_generator_degrees(g, ell + 4)
         assert profile.degrees == (ell + 3,)
-        assert principal_regularity(g, ell + 4) == ell + 2
+        assert profile.principal_reg == ell + 2
         assert matching_number(g) == 2 + math.ceil(ell / 2)
     print(
         "ACCEPTANCE 3 (two-triangle family: one generator of degree l+3, "

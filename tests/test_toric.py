@@ -1,20 +1,22 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
+from edgering import toric
 from edgering.ehrhart import BudgetExceededError, hilbert_function
+from edgering.enumeration import connected_graphs
 from edgering.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     two_triangles_path,
 )
-from edgering.toric import (
-    fibers,
-    minimal_generator_degrees,
-    principal_regularity,
-)
-from oracles import generator_count_oracle
+from edgering.normality import is_normal
+from edgering.polytope import edge_polytope
+from edgering.toric import _components, fibers, minimal_generator_degrees
+from oracles import fiber_generator_count, generator_count_oracle
 
 
 def test_fibers_examples():
@@ -54,10 +56,57 @@ def test_two_triangle_family_generator_degrees():
 
 
 def test_principal_regularity():
-    assert principal_regularity(two_triangles_path(2), 9) == 4
-    assert principal_regularity(cycle_graph(4), 6) == 1
-    assert principal_regularity(complete_graph(4), 4) is None
-    assert principal_regularity(complete_graph(3), 4) is None
+    assert minimal_generator_degrees(two_triangles_path(2), 9).principal_reg == 4
+    assert minimal_generator_degrees(cycle_graph(4), 6).principal_reg == 1
+    assert minimal_generator_degrees(complete_graph(4), 4).principal_reg is None
+    assert minimal_generator_degrees(complete_graph(3), 4).principal_reg is None
+
+
+def test_generator_counts_match_fiber_by_fiber_search():
+    # every non-normal connected graph with n <= 7 up to the q5 bound dim + 2,
+    # and the two-triangle family up to l + 4
+    jobs = [(g, edge_polytope(g).dim + 2)
+            for n in range(2, 8) for g in connected_graphs(n) if not is_normal(g)]
+    assert len(jobs) == 6
+    jobs += [(two_triangles_path(ell), ell + 4) for ell in range(1, 6)]
+    for g, q_max in jobs:
+        degrees = minimal_generator_degrees(g, q_max).degrees
+        for q in range(2, q_max + 1):
+            assert degrees.count(q) == fiber_generator_count(g, q), (g, q)
+
+
+def _shuffled_path(nodes, rng):
+    order = list(nodes)
+    rng.shuffle(order)
+    return order[:-1], order[1:]
+
+
+def test_components_of_a_path_shaped_chain():
+    # monomials 0..n-1 each sharing a variable with the next in a shuffled
+    # order, so the least label has to travel the whole chain
+    rng = random.Random(3)
+    for n in (2, 3, 17, 1024):
+        a, b = _shuffled_path(range(n), rng)
+        assert _components(np.array(a), np.array(b), n) == 1
+
+
+def test_components_of_disjoint_pieces():
+    rng = random.Random(5)
+    nodes = list(range(600))
+    rng.shuffle(nodes)
+    sizes = (1, 1, 2, 5, 40, 97, 200, 254)
+    a, b = [], []
+    start = 0
+    for size in sizes:
+        piece = nodes[start:start + size]
+        start += size
+        pa, pb = _shuffled_path(piece, rng)
+        # chords inside the piece change nothing
+        a += pa + [rng.choice(piece) for _ in range(size // 3)]
+        b += pb + [rng.choice(piece) for _ in range(size // 3)]
+    assert start == 600
+    assert _components(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), 600) == len(sizes)
+    assert _components(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 7) == 7
 
 
 def test_generator_counts_match_linear_algebra_oracle():
@@ -81,11 +130,24 @@ def test_budget_guard():
         fibers(complete_graph(7), 12, budget=1000)
 
 
+def test_budget_refuses_before_counting_any_degree(monkeypatch):
+    # K7 has 21 edges: degree 2 needs C(22, 2) = 231 multisets and degree 3
+    # needs C(23, 3) = 1771; C4 at degree 16 needs only C(19, 16) = 969
+    counted = []
+    monkeypatch.setattr(toric, "_generator_count", lambda g, q: counted.append(q) or 0)
+    message = "degree 3 needs 1771 edge multisets, over the budget 1000"
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        minimal_generator_degrees(complete_graph(7), 12, budget=1000)
+    with pytest.raises(BudgetExceededError, match="^degree 16 exceeds the supported bound 15$"):
+        minimal_generator_degrees(cycle_graph(4), 16)
+    assert counted == []
+
+
 def test_mat_vs_reg_gap_grows():
     # reg - mat = floor(ell / 2) along the two-triangle family
     for ell in (1, 2, 3, 4):
         g = two_triangles_path(ell)
-        reg = principal_regularity(g, ell + 4)
+        reg = minimal_generator_degrees(g, ell + 4).principal_reg
         from edgering.matching import matching_number
 
         assert reg - matching_number(g) == ell // 2
