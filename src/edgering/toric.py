@@ -76,8 +76,9 @@ def _shared_fibers(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     weights = _radix_weights(g.d, q)
     codes = np.zeros(len(expo), dtype=np.int64)
     for k, (i, j) in enumerate(g.edges):
-        # column by column: `expo @ deltas` would first cast all of expo to int64
-        codes += expo[:, k] * (weights[i - 1] + weights[j - 1])
+        # column by column, as `expo @ deltas` would cast all of expo to int64;
+        # int64 before the product, which numpy 1 would size by the weight
+        codes += expo[:, k].astype(np.int64) * (weights[i - 1] + weights[j - 1])
     order = np.argsort(codes)
     codes = codes[order]
     first = np.ones(len(codes), dtype=bool)

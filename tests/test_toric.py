@@ -41,6 +41,18 @@ def test_fiber_partition_identity():
             assert hilbert_function(g, q) + excess == total
 
 
+def test_fiber_codes_are_exact():
+    # exponent times weight 16**(i-1) + 16**(j-1) must be formed in int64: in
+    # a narrower type the codes wrap silently and distinct fibers merge
+    bridge = Graph.of(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (5, 8)])
+    for g, q, narrow in [(complete_graph(4), 9, 2 ** 15), (bridge, 9, 2 ** 31)]:
+        expo, rows, codes, _ = toric._shared_fibers(g, q)
+        terms = [[e * (16 ** (i - 1) + 16 ** (j - 1)) for e, (i, j) in zip(row, g.edges)]
+                 for row in expo[rows].tolist()]
+        assert max(max(t) for t in terms) >= narrow
+        assert codes.tolist() == [sum(t) for t in terms]
+
+
 def test_minimal_generator_degrees_examples():
     assert minimal_generator_degrees(cycle_graph(4), 4).degrees == (2,)
     assert minimal_generator_degrees(complete_graph(3), 4).degrees == ()
