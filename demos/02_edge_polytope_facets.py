@@ -40,7 +40,7 @@ for name, g in [
     print(f"\n{name}: ambient d={p.d}, dim P = {p.dim}, vertices = {len(p.vertices)}")
     print(f"  hull equations: {[f'{c}.x = {r}' for c, r in p.hull_equations]}")
     print(f"  facets (hull route): {len(hull)}   facets (graph route): {len(pred)}")
-    same = {f.key() for f in hull} == {f.key() for f in pred}
+    same = {f.normal for f in hull} == {f.normal for f in pred}
     print(f"  identical halfspace sets: {same}")
     for f in pred[:4]:
         print(f"    {f.normal} . x >= 0    [{f.provenance}]")

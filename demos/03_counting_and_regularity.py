@@ -15,7 +15,6 @@ from edgering import (
     complete_graph,
     cycle_graph,
     edge_polytope,
-    ehrhart_counts,
     ehrhart_profile,
     hilbert_function,
     interior_lattice_points,
@@ -37,7 +36,7 @@ for name, g in [
 ]:
     prof = ehrhart_profile(g)
     dim = edge_polytope(g).dim
-    counts = tuple(ehrhart_counts(g, dim + 2))
+    counts = tuple(len(lattice_points(g, q)) for q in range(dim + 3))
     interior = tuple(len(interior_lattice_points(g, q)) for q in range(dim + 3))
     print(f"\n{name}:")
     print(f"  counts |qP|, q=0..{dim + 2}:      {counts}")

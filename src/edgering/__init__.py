@@ -15,7 +15,6 @@ from .ehrhart import (
     EhrhartProfile,
     NotNormalError,
     check_idp,
-    ehrhart_counts,
     ehrhart_profile,
     h_star,
     hilbert_function,
@@ -23,9 +22,8 @@ from .ehrhart import (
     interior_lattice_points,
     lattice_points,
     min_interior_q,
-    regularity_normal,
 )
-from .enumeration import connected_graphs, connected_graphs_up_to
+from .enumeration import connected_graphs
 from .graphs import (
     Bipartition,
     Graph,

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .ehrhart import BudgetExceededError, ehrhart_profile, regularity_normal
+from .ehrhart import BudgetExceededError, ehrhart_profile
 from .enumeration import connected_graphs
 from .graphs import (
     Graph,
@@ -35,7 +35,6 @@ class AnalysisReport:
     edge_count: int
     edges: tuple[tuple[int, int], ...]
     bipartite: bool
-    connected: bool
     mat: int
     mu: int
     cover_size: int
@@ -59,7 +58,7 @@ class AnalysisReport:
                 "edge_count": self.edge_count,
                 "edges": [list(e) for e in self.edges],
                 "bipartite": self.bipartite,
-                "connected": self.connected,
+                "connected": True,
             },
             "mat": self.mat,
             "mu": self.mu,
@@ -139,7 +138,6 @@ def analyze(g: Graph, run_toric: bool = False, toric_qmax: int | None = None) ->
         edge_count=g.m,
         edges=g.edges,
         bipartite=bip,
-        connected=True,
         mat=mat,
         mu=mu,
         cover_size=len(cover),
@@ -220,20 +218,7 @@ class SweepRow:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "d": self.d,
-            "edge_count": self.edge_count,
-            "mat": self.mat,
-            "mu": self.mu,
-            "normal": self.normal,
-            "dim": self.dim,
-            "reg": self.reg,
-            "expected_reg": self.expected_reg,
-            "expected_mat": self.expected_mat,
-            "match": self.match,
-        }
+        return asdict(self)
 
 
 def _family_row(family: str, params: str, g: Graph, expected_reg: int, expected_mat: int,
@@ -319,7 +304,7 @@ def question5_sweep(m: int, n_max: int, toric_qmax: int | None = None) -> dict:
             dim = edge_polytope(g).dim
             reg: int | None = None
             if normal:
-                reg = regularity_normal(g)
+                reg = ehrhart_profile(g).s
                 if normal_max is None or reg > normal_max[0]:
                     normal_max = (reg, g)
             else:

@@ -325,11 +325,13 @@ def check_idp(g: Graph, q_max: int) -> bool:
 def min_interior_q(g: Graph) -> int:
     """Least q >= 1 whose dilation contains an interior lattice point.
 
-    Defined for normal edge rings. Interior points of a normal edge polytope
-    have no zero coordinate (verified exhaustively on small graphs by the test
-    suite), so only the all-positive slice of each dilation is scanned. There
-    sum x = 2q with every x_i >= 1, so the search starts at ceil(d / 2), which
-    assumes no bound on the threshold, and must succeed by dim P + 1.
+    Defined for normal edge rings. A relative-interior point of qP is a
+    positive combination of all edge vectors, and every vertex of a connected
+    G with d >= 2 lies on an edge, so every coordinate of such a point is
+    positive, hence >= 1 for a lattice point. Only the all-positive slice of
+    each dilation is scanned. There sum x = 2q with every x_i >= 1, so the
+    search starts at ceil(d / 2), which assumes no bound on the threshold, and
+    must succeed by dim P + 1.
     """
     if not is_normal(g):
         raise NotNormalError("interior threshold is computed for normal edge rings only")
@@ -340,22 +342,6 @@ def min_interior_q(g: Graph) -> int:
     raise InvariantViolationError(
         "no interior lattice point found by dim + 1; input is non-normal or a bug"
     )
-
-
-def _require_row_budget(g: Graph, q_max: int) -> None:
-    cost = window_row_cost(g, q_max)
-    if cost > ROW_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration of {cost} candidate rows exceeds the budget {ROW_BUDGET}"
-        )
-
-
-def ehrhart_counts(g: Graph, q_max: int) -> list[int]:
-    """Geometric lattice-point counts |qP| for q = 0..q_max."""
-    if q_max < 0:
-        raise ValueError("q_max must be nonnegative")
-    _require_row_budget(g, q_max)
-    return [lattice_count(g, q) for q in range(q_max + 1)]
 
 
 def _measured_top(dim: int) -> int:
@@ -401,12 +387,18 @@ def h_star(g: Graph) -> tuple[int, ...]:
     InvariantViolationError. h*_0 = 1 and nonnegativity are enforced as
     runtime diagnostics.
 
-    The row budget is read at dim + 2, as for every window field.
+    This is the one place the row budget is read: before any window pass,
+    BudgetExceededError is raised when window_row_cost(g, dim + 2) exceeds
+    it.
     """
     if not is_normal(g):
         raise NotNormalError("h* is computed for normal edge rings only")
     dim = edge_polytope(g).dim
-    _require_row_budget(g, dim + 2)
+    cost, budget = window_row_cost(g, dim + 2), ROW_BUDGET
+    if cost > budget:
+        raise BudgetExceededError(
+            f"enumeration of {cost} candidate rows exceeds the budget {budget}"
+        )
     top = _measured_top(dim)
     low = _numerator([lattice_count(g, q) for q in range(top + 1)], dim)
     high = _numerator([0] + [interior_count(g, q) for q in range(1, top + 1)], dim)
@@ -442,7 +434,8 @@ class EhrhartProfile:
 
 def ehrhart_profile(g: Graph) -> EhrhartProfile:
     """Counting profile of a normal graph: the interior threshold always, and
-    h* when the window fits the row budget.
+    h* unless `h_star` refuses the window over the row budget, which is
+    recorded as h_star = None.
 
     This is the one place where the two regularity routes meet: when the
     window runs, the h* degree is checked against the interior threshold.
@@ -450,18 +443,12 @@ def ehrhart_profile(g: Graph) -> EhrhartProfile:
     p = edge_polytope(g)
     q_min = min_interior_q(g)  # raises NotNormalError for a non-normal graph
     s = p.dim + 1 - q_min
-    if window_row_cost(g, p.dim + 2) > ROW_BUDGET:
+    try:
+        h = h_star(g)
+    except BudgetExceededError:
         return EhrhartProfile(q_min, None, s)
-    h = h_star(g)
     if len(h) - 1 != s:
         raise InvariantViolationError(
             f"h* degree {len(h) - 1} != (dim+1) - interior threshold {s}"
         )
     return EhrhartProfile(q_min, h, s)
-
-
-def regularity_normal(g: Graph) -> int:
-    """Regularity of a normal edge ring: (dim P + 1) minus the interior
-    dilation threshold, cross-checked against the h* degree by
-    `ehrhart_profile` whenever the window fits the row budget."""
-    return ehrhart_profile(g).s

@@ -166,13 +166,6 @@ def connected_graphs(n: int) -> list[Graph]:
     return [bits_to_graph(n, bits) for bits in connected_graph_bits(n)]
 
 
-def connected_graphs_up_to(n_max: int) -> list[Graph]:
-    out: list[Graph] = []
-    for n in range(1, n_max + 1):
-        out.extend(connected_graphs(n))
-    return out
-
-
 def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group: the orderings among all n! that keep
     every vertex's stable color and reproduce the graph's own code."""

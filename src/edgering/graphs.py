@@ -59,12 +59,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.d + 1)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return adjacency(self)[v]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in adjacency(self)[i]
-
 
 @lru_cache(maxsize=65536)
 def adjacency(g: Graph) -> tuple[frozenset[int], ...]:
@@ -184,6 +178,10 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 
 
 def is_connected(g: Graph) -> bool:
+    # a connected graph on d vertices has at least d - 1 edges; deciding that
+    # first keeps a huge vertex count with few edges from allocating anything
+    if g.m < g.d - 1:
+        return False
     return len(connected_components(g)) == 1
 
 

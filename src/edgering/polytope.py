@@ -57,9 +57,6 @@ class FacetInequality:
     normal: tuple[int, ...]
     provenance: str = "hull"
 
-    def key(self) -> tuple[int, ...]:
-        return self.normal
-
 
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
@@ -208,8 +205,8 @@ def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
                 )
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    facets = sorted((canonical_inequality(p, r, "hull") for r in rays), key=FacetInequality.key)
-    if len({f.key() for f in facets}) != len(facets):
+    facets = sorted((canonical_inequality(p, r, "hull") for r in rays), key=lambda f: f.normal)
+    if len({f.normal for f in facets}) != len(facets):
         raise InvariantViolationError("double description produced a facet twice")
     return tuple(facets)
 
@@ -277,7 +274,7 @@ def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
 
     def record(normal, provenance):
         f = canonical_inequality(p, normal, provenance)
-        found.setdefault(f.key(), f)
+        found.setdefault(f.normal, f)
 
     for i in g.vertices():
         comps = _component_subgraphs(g, {i})
@@ -318,7 +315,7 @@ def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
         kind = "fundamental" if bip is None else "acceptable"
         record(normal, f"{kind}({sorted(t)},{sorted(nbhd)})")
 
-    return tuple(sorted(found.values(), key=FacetInequality.key))
+    return tuple(sorted(found.values(), key=lambda f: f.normal))
 
 
 # ---------------------------------------------------------------------------

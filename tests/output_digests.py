@@ -28,6 +28,9 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
   plus a newline, then per q = 1..4 `repr` of `(g.edges, q, fibers(g, q))` plus
   a newline, over the six non-normal connected graphs with n = 7 at
   b = dim + 2 and `two_triangles_path(l)`, l = 1..6, at b = l + 4.
+* families: the stdout (CSV) and stderr of `families --rmax 4 --lmax 6`, then
+  `json.dumps(row.to_dict())` plus a newline per row of `run_families(4, 6)`,
+  with the keys in their own order.
 
 Takes under a minute; pytest does not collect this file.
 """
@@ -42,7 +45,7 @@ import os
 import sys
 import tempfile
 
-from edgering.analysis import analyze
+from edgering.analysis import analyze, run_families
 from edgering.cli import main
 from edgering.ehrhart import h_star, interior_count, lattice_count, min_interior_q
 from edgering.enumeration import automorphism_count, connected_graph_bits, connected_graphs
@@ -61,6 +64,7 @@ PINNED = {
     "window": "6c0143a68581c36a876e8522336b8a2a1b792051dda7a11e4756aa5401c81506",
     "facets": "de5827d093ed60f3cc5cd5ddf60c91566632620d63ca4bfc11374088f98fcf38",
     "toric": "23ef35ebd96e99df6117bbb22478255d687f17fdabe513eae4ac609fe1f62b41",
+    "families": "bfea9a53a44a8fb26daa3f538b22232fc3e06308008eddc0a936c9d87750ed8d",
 }
 
 
@@ -73,6 +77,14 @@ def _run(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out):
         main(argv)
     return out.getvalue()
+
+
+def _families_digest() -> str:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        stdout = _run(["families", "--rmax", "4", "--lmax", "6"])
+    rows = "".join(json.dumps(row.to_dict()) + "\n" for row in run_families(4, 6))
+    return _sha(stdout + err.getvalue() + rows)
 
 
 def _graphs() -> list:
@@ -152,6 +164,7 @@ def _digests():
     yield "window", _window_digest()
     yield "facets", _facets_digest()
     yield "toric", _toric_digest()
+    yield "families", _families_digest()
 
 
 def main_digests() -> int:

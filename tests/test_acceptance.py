@@ -16,9 +16,9 @@ from edgering.ehrhart import (
     _lattice_classified,
     _pack,
     check_idp,
+    ehrhart_profile,
     h_star,
     min_interior_q,
-    regularity_normal,
 )
 from edgering.enumeration import connected_graphs
 from edgering.graphs import is_bipartite, two_triangles_path
@@ -85,7 +85,7 @@ def atlas():
                     sets_equal=eq,
                     min_interior_q=min_interior_q(g) if normal else None,
                     h_star=h_star(g) if normal else None,
-                    reg=regularity_normal(g) if normal else None,
+                    reg=ehrhart_profile(g).s if normal else None,
                 )
             )
     return facts
@@ -177,14 +177,14 @@ def test_criterion_6_facet_oracle_equivalence():
             if g.m == 0:
                 continue
             compared += 1
-            hull = {f.key() for f in edge_polytope(g).facets()}
-            pred = {f.key() for f in predicted_facets(g)}
+            hull = {f.normal for f in edge_polytope(g).facets()}
+            pred = {f.normal for f in predicted_facets(g)}
             assert hull == pred, g
     sample = connected_graphs(7)[::4]
     for g in sample:
         compared += 1
-        hull = {f.key() for f in edge_polytope(g).facets()}
-        pred = {f.key() for f in predicted_facets(g)}
+        hull = {f.normal for f in edge_polytope(g).facets()}
+        pred = {f.normal for f in predicted_facets(g)}
         assert hull == pred, g
     print(
         f"ACCEPTANCE 6 (graph-predicted facets equal hull-computed facets on "

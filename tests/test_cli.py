@@ -53,6 +53,14 @@ def test_analyze_errors(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_analyze_huge_vertex_count_without_edges(tmp_path, capsys):
+    # refused as not connected before anything per vertex is allocated
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000 0\n")
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert "connected" in capsys.readouterr().err
+
+
 def test_invariant_violation_has_its_own_exit_code(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InvariantViolationError("cross-check failed")

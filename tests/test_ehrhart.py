@@ -10,7 +10,6 @@ from edgering.ehrhart import (
     BudgetExceededError,
     NotNormalError,
     check_idp,
-    ehrhart_counts,
     ehrhart_polynomial_value,
     ehrhart_profile,
     h_star,
@@ -21,10 +20,11 @@ from edgering.ehrhart import (
     lattice_count,
     lattice_points,
     min_interior_q,
-    regularity_normal,
+    window_row_cost,
 )
 from edgering.enumeration import connected_graphs
 from edgering.graphs import (
+    adjacency,
     attach_path,
     complete_bipartite_graph,
     complete_graph,
@@ -138,7 +138,7 @@ def test_counts_window_consistency():
     # the h* polynomial reproduces the two spare window counts
     for g in [complete_graph(4), cycle_graph(5), complete_bipartite_graph(2, 3)]:
         p = edge_polytope(g)
-        counts = ehrhart_counts(g, p.dim + 2)
+        counts = [lattice_count(g, q) for q in range(p.dim + 3)]
         assert counts[0] == 1
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         h = h_star(g)
@@ -178,12 +178,12 @@ def test_reciprocity_failure_is_an_invariant_violation(monkeypatch):
 
 
 def test_regularity_examples():
-    assert regularity_normal(complete_graph(4)) == 2
-    assert regularity_normal(complete_bipartite_graph(3, 3)) == 2
-    assert regularity_normal(cycle_graph(4)) == 1
-    assert regularity_normal(complete_graph(2)) == 0
+    assert ehrhart_profile(complete_graph(4)).s == 2
+    assert ehrhart_profile(complete_bipartite_graph(3, 3)).s == 2
+    assert ehrhart_profile(cycle_graph(4)).s == 1
+    assert ehrhart_profile(complete_graph(2)).s == 0
     with pytest.raises(NotNormalError):
-        regularity_normal(two_triangles_path(2))
+        ehrhart_profile(two_triangles_path(2))
 
 
 def test_regularity_formula_identity_small():
@@ -194,7 +194,7 @@ def test_regularity_formula_identity_small():
             if not is_normal(g):
                 continue
             p = edge_polytope(g)
-            s = regularity_normal(g)
+            s = ehrhart_profile(g).s
             assert s == p.dim + 1 - min_interior_q(g)
             assert s == len(h_star(g)) - 1
 
@@ -210,12 +210,24 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", 1000)
     g = complete_bipartite_graph(6, 6)
     with pytest.raises(BudgetExceededError):
-        ehrhart_counts(g, edge_polytope(g).dim + 2)
+        h_star(g)
     # the regularity fallback still answers via the interior threshold
-    assert regularity_normal(g) == 5
     prof = ehrhart_profile(g)
     assert prof.h_star is None
     assert (prof.min_interior_q, prof.s) == (6, 5)
+
+
+@pytest.mark.parametrize("g", [complete_bipartite_graph(3, 3), cycle_graph(5)], ids=["K33", "C5"])
+def test_budget_boundary(monkeypatch, g):
+    # h_star is the one place the row budget is read: a budget of exactly the
+    # window's row cost admits h*, one row less refuses it
+    cost = window_row_cost(g, edge_polytope(g).dim + 2)
+    monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", cost)
+    assert ehrhart_profile(g).h_star == h_star(g)
+    monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", cost - 1)
+    assert ehrhart_profile(g).h_star is None
+    with pytest.raises(BudgetExceededError, match=f"^enumeration of {cost} candidate rows"):
+        h_star(g)
 
 
 def test_one_cross_check_site(monkeypatch, capsys):
@@ -223,7 +235,7 @@ def test_one_cross_check_site(monkeypatch, capsys):
     # reads the profile, which is where the h* degree is compared with it
     real = edgering.ehrhart.min_interior_q
     monkeypatch.setattr(edgering.ehrhart, "min_interior_q", lambda g: real(g) + 1)
-    for call in (ehrhart_profile, regularity_normal, analyze):
+    for call in (ehrhart_profile, analyze):
         with pytest.raises(InvariantViolationError):
             call(complete_graph(4))
     assert main(["analyze", "--family", "complete(4)"]) == 3
@@ -242,7 +254,8 @@ def test_planted_counterexample_is_reported(monkeypatch, capsys):
     real_min = edgering.ehrhart._facet_min
 
     def is_star(g):
-        return g.d == star.d and sorted(len(g.neighbors(v)) for v in g.vertices()) == [1, 1, 1, 3]
+        adj = adjacency(g)
+        return g.d == star.d and sorted(len(adj[v]) for v in g.vertices()) == [1, 1, 1, 3]
 
     def blocks(g, q, lo):
         yield from real_blocks(g, q, lo)
@@ -260,7 +273,7 @@ def test_planted_counterexample_is_reported(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("call", [lattice_points, interior_lattice_points, lattice_count,
-                                  interior_count, ehrhart_counts, idp_points, hilbert_function])
+                                  interior_count, idp_points, hilbert_function])
 def test_negative_q_is_refused(call):
     with pytest.raises(ValueError, match="nonnegative"):
         call(complete_graph(4), -1)
@@ -333,7 +346,8 @@ def test_half_window_matches_full_window():
     for g in small + larger:
         dim = edge_polytope(g).dim
         dims.add(dim)
-        assert h_star(g) == hstar_from_counts(ehrhart_counts(g, dim + 2), dim), g
+        counts = [lattice_count(g, q) for q in range(dim + 3)]
+        assert h_star(g) == hstar_from_counts(counts, dim), g
     assert {0, 1, 2, 3} <= dims  # K2, both parities of dim
 
 

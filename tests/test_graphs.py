@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import edgering.graphs
 from edgering.graphs import (
     Graph,
     GraphParseError,
+    adjacency,
     attach_path,
     complete_bipartite_graph,
     complete_graph,
@@ -111,6 +113,17 @@ def test_components():
     assert len(parts) == 2
 
 
+def test_too_few_edges_is_not_connected_before_any_adjacency(monkeypatch):
+    # d vertices need d - 1 edges to be connected; a huge vertex count with
+    # few edges is refused before one set per vertex is built
+    def refuse(g):
+        raise AssertionError("adjacency was built")
+
+    monkeypatch.setattr(edgering.graphs, "adjacency", refuse)
+    assert is_connected(Graph(10**9, ())) is False
+    assert is_connected(Graph(4, ((1, 2), (3, 4)))) is False
+
+
 def connected_components_probe() -> Graph:
     # two triangles joined by one bridge, bridge endpoints removed
     g = two_triangles_path(1)
@@ -171,10 +184,11 @@ def test_two_triangles_structure():
         g = two_triangles_path(ell)
         assert is_connected(g)
         assert is_bipartite(g) is None
+        adj = adjacency(g)
         tri = [
             frozenset((a, b, c))
             for a, b, c in combinations(g.vertices(), 3)
-            if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+            if b in adj[a] and c in adj[a] and c in adj[b]
         ]
         assert tri == [frozenset({1, 2, 3}), frozenset({4, 5, 6})]
 

@@ -56,10 +56,10 @@ def test_facet_counts_on_known_polytopes():
 def test_k3_facets_cut_out_coordinate_caps():
     p = edge_polytope(complete_graph(3))
     expected = {
-        canonical_inequality(p, normal, "x").key()
+        canonical_inequality(p, normal, "x").normal
         for normal in [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
     }
-    assert {f.key() for f in p.facets()} == expected
+    assert {f.normal for f in p.facets()} == expected
 
 
 def test_c4_facets_are_coordinate_halfspaces():
@@ -68,8 +68,8 @@ def test_c4_facets_are_coordinate_halfspaces():
     for i in range(4):
         normal = [0, 0, 0, 0]
         normal[i] = 1
-        expected.add(canonical_inequality(p, normal, "x").key())
-    assert {f.key() for f in p.facets()} == expected
+        expected.add(canonical_inequality(p, normal, "x").normal)
+    assert {f.normal for f in p.facets()} == expected
 
 
 def test_every_vertex_satisfies_every_facet_and_tight_sets_are_ridges():
@@ -105,8 +105,8 @@ def test_predicted_equals_hull_exhaustive_d5():
         for g in connected_graphs(n):
             if g.m == 0:
                 continue
-            hull = {f.key() for f in edge_polytope(g).facets()}
-            pred = {f.key() for f in predicted_facets(g)}
+            hull = {f.normal for f in edge_polytope(g).facets()}
+            pred = {f.normal for f in predicted_facets(g)}
             assert hull == pred, f"facet mismatch on {g}"
 
 
@@ -123,8 +123,8 @@ def test_predicted_equals_hull_beyond_digest_scope():
         "two_triangles_path(4)",
     ]:
         g = make_family(spec)
-        hull = {f.key() for f in edge_polytope(g).facets()}
-        assert hull == {f.key() for f in predicted_facets(g)}, spec
+        hull = {f.normal for f in edge_polytope(g).facets()}
+        assert hull == {f.normal for f in predicted_facets(g)}, spec
 
 
 def test_one_elimination_gives_the_initial_cone_d6(monkeypatch):
@@ -215,7 +215,7 @@ def test_star_slice_coordinate():
 
 def test_facets_deterministic_order():
     p1 = edge_polytope(complete_graph(4))
-    keys = [f.key() for f in p1.facets()]
+    keys = [f.normal for f in p1.facets()]
     assert keys == sorted(keys)
 
 
@@ -225,7 +225,7 @@ def test_canonical_inequality_identifies_equivalent_forms():
     # the same facet: they differ by chi_L - chi_R with L = {1, 3}
     a = canonical_inequality(p, (-1, 1, 1, 1), "cap")
     b = canonical_inequality(p, (0, 0, 1, 0), "coord")
-    assert a.key() == b.key() == (0, 0, 1, 0)
+    assert a.normal == b.normal == (0, 0, 1, 0)
     with pytest.raises(ValueError):
         canonical_inequality(p, (1, -1, 1, -1), "hull equation")
 
@@ -260,7 +260,7 @@ def test_facet_form_properties():
         c = data.draw(st.integers(1, 7))
         t = data.draw(st.integers(-9, 9))
         moved = [c * h + t * e for h, e in zip(f.normal, delta)]
-        assert canonical_inequality(p, moved, "moved").key() == f.key()
+        assert canonical_inequality(p, moved, "moved").normal == f.normal
         # relabelling vertex v as perm[v - 1] permutes the facet normals; a
         # bipartite graph may swap sides, so they are re-canonicalised
         perm = data.draw(st.permutations(range(1, g.d + 1)))
@@ -271,7 +271,7 @@ def test_facet_form_properties():
             normal = [0] * g.d
             for v, x in zip(perm, h.normal):
                 normal[v - 1] = x
-            moved_facets.add(canonical_inequality(p2, normal, "relabelled").key())
-        assert moved_facets == {h.key() for h in p2.facets()}
+            moved_facets.add(canonical_inequality(p2, normal, "relabelled").normal)
+        assert moved_facets == {h.normal for h in p2.facets()}
 
     check()
