@@ -8,7 +8,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .ehrhart import BudgetExceededError, ehrhart_profile
-from .enumeration import connected_graphs
+from .enumeration import MAX_N, connected_graphs
 from .graphs import (
     Graph,
     NotConnectedError,
@@ -173,8 +173,8 @@ def verify_theorem(n_max: int) -> Verification:
     No violation is the expected outcome. Non-normal graphs are counted but
     not analyzed (the bound does not apply).
     """
-    if not (2 <= n_max <= 8):
-        raise ValueError("n_max must be between 2 and 8")
+    if not (2 <= n_max <= MAX_N):
+        raise ValueError(f"n_max must be between 2 and {MAX_N}")
     checked = normal = 0
     violations: list[AnalysisReport] = []
     for n in range(2, n_max + 1):
@@ -286,52 +286,30 @@ def question5_sweep(m: int, n_max: int, toric_qmax: int | None = None) -> dict:
     that carry a principal-ideal certificate.
 
     Purely empirical and bounded; the summary never claims a general bound.
-    Graphs are bucketed by their computed matching number.
+    Graphs are bucketed by their computed matching number. Non-normal graphs
+    get toric analysis up to degree `toric_qmax`, by default dim + 2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not (2 <= n_max <= 8):
-        raise ValueError("n_max must be between 2 and 8")
-    rows: list[dict] = []
-    normal_max: tuple[int, Graph] | None = None
-    nonnormal_max: tuple[int, Graph] | None = None
-    skipped_budget = 0
+    if not (2 <= n_max <= MAX_N):
+        raise ValueError(f"n_max must be between 2 and {MAX_N}")
+    reports: list[AnalysisReport] = []
     for n in range(2, n_max + 1):
         for g in connected_graphs(n):
             if matching_number(g) != m:
                 continue
-            normal = is_normal(g)
-            dim = edge_polytope(g).dim
-            reg: int | None = None
-            if normal:
-                reg = ehrhart_profile(g).s
-                if normal_max is None or reg > normal_max[0]:
-                    normal_max = (reg, g)
-            else:
-                qmax = toric_qmax if toric_qmax is not None else dim + 2
-                try:
-                    reg = minimal_generator_degrees(g, max(2, qmax)).principal_reg
-                except BudgetExceededError:
-                    skipped_budget += 1
-                if reg is not None and (nonnormal_max is None or reg > nonnormal_max[0]):
-                    nonnormal_max = (reg, g)
-            rows.append(
-                {
-                    "d": g.d,
-                    "edges": [list(e) for e in g.edges],
-                    "mat": m,
-                    "normal": normal,
-                    "dim": dim,
-                    "reg": reg,
-                }
-            )
+            qmax = toric_qmax if toric_qmax is not None else edge_polytope(g).dim + 2
+            reports.append(analyze(g, run_toric=not is_normal(g), toric_qmax=max(2, qmax)))
+    non_normal = [r for r in reports if not r.normal]
     return {
         "m": m,
         "n_max": n_max,
         "scope": "empirical, bounded scope",
-        "graphs_with_mat_m": len(rows),
-        "normal_max_reg": normal_max[0] if normal_max else None,
-        "non_normal_principal_max_reg": nonnormal_max[0] if nonnormal_max else None,
-        "toric_skipped_over_budget": skipped_budget,
-        "rows": rows,
+        "graphs_with_mat_m": len(reports),
+        "normal_max_reg": max((r.reg for r in reports if r.normal), default=None),
+        "non_normal_principal_max_reg": max(
+            (r.reg for r in non_normal if r.reg is not None), default=None
+        ),
+        "toric_skipped_over_budget": sum(r.generator_profile is None for r in non_normal),
+        "rows": reports,
     }

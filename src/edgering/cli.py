@@ -20,6 +20,7 @@ from .analysis import (
     run_families,
     verify_theorem,
 )
+from .enumeration import MAX_N
 from .graphs import make_family, parse_graph
 from .polytope import InvariantViolationError
 
@@ -110,13 +111,12 @@ def cmd_q5(args) -> int:
     summary = question5_sweep(args.m, args.nmax, toric_qmax=args.qmax)
     if args.csv:
         lines = [CSV_HEADER]
-        for row in summary["rows"]:
-            reg = "" if row["reg"] is None else row["reg"]
-            edges = " ".join(f"{i}-{j}" for i, j in row["edges"])
+        for r in summary["rows"]:
+            reg = "" if r.reg is None else r.reg
+            edges = " ".join(f"{i}-{j}" for i, j in r.edges)
             lines.append(
-                f"q5,d={row['d']};edges={edges},{row['d']},{len(row['edges'])},"
-                f"{row['mat']},{row['d'] - row['mat']},{str(row['normal']).lower()},"
-                f"{row['dim']},{reg},,empirical"
+                f"q5,d={r.d};edges={edges},{r.d},{r.edge_count},{r.mat},{r.mu},"
+                f"{str(r.normal).lower()},{r.dim},{reg},,empirical"
             )
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(fn=cmd_analyze)
 
     p_vt = sub.add_parser("verify-theorem", help="exhaustively verify the regularity bounds")
-    p_vt.add_argument("--nmax", type=int, required=True, help="largest vertex count (2..8)")
+    p_vt.add_argument("--nmax", type=int, required=True, help=f"largest vertex count (2..{MAX_N})")
     p_vt.add_argument("--json", help="write the verification report to this path")
     p_vt.set_defaults(fn=cmd_verify_theorem)
 
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_q5 = sub.add_parser("q5", help="survey regularity by matching number (empirical)")
     p_q5.add_argument("--m", type=int, required=True, help="matching number bucket")
-    p_q5.add_argument("--nmax", type=int, required=True, help="largest vertex count (2..8)")
+    p_q5.add_argument("--nmax", type=int, required=True, help=f"largest vertex count (2..{MAX_N})")
     p_q5.add_argument("--qmax", type=int, default=None, help="toric degree bound override")
     p_q5.add_argument("--csv", help="write per-graph rows to this path")
     p_q5.set_defaults(fn=cmd_q5)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from .graphs import Graph, NotConnectedError, adjacency, is_bipartite, is_connected
 
 
-def chordless_cycles(g: Graph, odd_only: bool = True) -> list[tuple[int, ...]]:
+def chordless_cycles(g: Graph) -> list[tuple[int, ...]]:
     """All chordless cycles, one representative per rotation/reflection class.
 
     Each cycle is reported as a vertex tuple starting at its minimum vertex,
@@ -35,9 +35,7 @@ def chordless_cycles(g: Graph, odd_only: bool = True) -> list[tuple[int, ...]]:
                 continue
             if s in adj[x]:
                 if path[1] < x:
-                    cycle = tuple(path) + (x,)
-                    if not odd_only or len(cycle) % 2 == 1:
-                        cycles.append(cycle)
+                    cycles.append(tuple(path) + (x,))
                 # extending past x would leave the chord {s, x} in any larger cycle
                 continue
             path.append(x)
@@ -55,7 +53,7 @@ def chordless_cycles(g: Graph, odd_only: bool = True) -> list[tuple[int, ...]]:
 
 def enumerate_minimal_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
     """Chordless odd cycles of g, each reported once."""
-    return chordless_cycles(g, odd_only=True)
+    return [c for c in chordless_cycles(g) if len(c) % 2 == 1]
 
 
 def satisfies_odd_cycle_condition(g: Graph) -> bool:

@@ -129,11 +129,11 @@ def _generator_count(g: Graph, q: int) -> int:
     return _components(np.concatenate(a), np.concatenate(b), len(rows)) - int(fiber.max(initial=0))
 
 
-def fibers(g: Graph, q: int, budget: int = DEFAULT_MONOMIAL_BUDGET) -> list[Fiber]:
+def fibers(g: Graph, q: int) -> list[Fiber]:
     """Fibers at degree q with at least two monomials, sorted by multidegree."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    _guard(g, q, budget)
+    _guard(g, q, DEFAULT_MONOMIAL_BUDGET)
     expo, rows, codes, fiber = _shared_fibers(g, q)
     starts = np.flatnonzero(np.diff(fiber, prepend=0))
     bounds = starts.tolist() + [len(rows)]

@@ -13,6 +13,8 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
 * verify-theorem: `verify-theorem --nmax 7` JSON, dumped with sorted keys,
   then a newline, then its stdout;
 * q5: `q5 --m 2 --nmax 6` stdout followed by its CSV;
+* q5 m=3 nmax=7: `q5 --m 3 --nmax 7` stdout followed by its CSV, which
+  covers the non-normal graphs (the m = 2 survey has none);
 * codes n<=7, codes n=8: `repr` of the canonical codes, as
   `[connected_graph_bits(n) for n in range(1, 8)]` and `connected_graph_bits(8)`;
 * automorphisms n<=7: `repr` of the automorphism counts of
@@ -58,6 +60,7 @@ PINNED = {
     "analyze": "1b0b6fd0fbb7a4aad8d69660ad21f69443455be68f5335934fad13f7fe3fb2f6",
     "verify-theorem": "2db4c5564b2d2ef322a1fe75de129ba1be2f116e36b6bc436b2e52d89923389b",
     "q5": "d1ec2099d4fb4349d62839a276a192c014df3f0cea7cc6edca9eef2673e5bd54",
+    "q5 m=3 nmax=7": "7ae4ca502a06696298611d3c4afde54b6e634f3227cc9573cc1895d9046d3270",
     "codes n<=7": "3ec2a2962b7056261e9ea9349d562723f01ff4e96bade06aaadf2e4b0b5ecadf",
     "codes n=8": "29a211dbd6e124bd6f9250fe1ac425fec4d129432db730bd8e0815ed76ec0511",
     "automorphisms n<=7": "edfb1a967ea607f396a2a5803a5e11f20014667111de0386249e1cd5e18cfd42",
@@ -101,18 +104,20 @@ def _analyze_digest() -> str:
     return _sha("".join(lines))
 
 
-def _cli_digests(tmp: str) -> tuple[str, str]:
+def _verify_digest(tmp: str) -> str:
     path = os.path.join(tmp, "verify.json")
     stdout = _run(["verify-theorem", "--nmax", "7", "--json", path])
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     payload.pop("seconds")
-    verify = _sha(json.dumps(payload, sort_keys=True) + "\n" + stdout)
-    path = os.path.join(tmp, "q5.csv")
-    stdout = _run(["q5", "--m", "2", "--nmax", "6", "--csv", path])
+    return _sha(json.dumps(payload, sort_keys=True) + "\n" + stdout)
+
+
+def _q5_digest(tmp: str, m: int, n_max: int) -> str:
+    path = os.path.join(tmp, f"q5_{m}_{n_max}.csv")
+    stdout = _run(["q5", "--m", str(m), "--nmax", str(n_max), "--csv", path])
     with open(path, encoding="utf-8") as fh:
-        q5 = _sha(stdout + fh.read())
-    return verify, q5
+        return _sha(stdout + fh.read())
 
 
 def _window_digest() -> str:
@@ -154,9 +159,9 @@ def _digests():
     """(name, digest) for every output, in the order they are printed."""
     yield "analyze", _analyze_digest()
     with tempfile.TemporaryDirectory() as tmp:
-        verify, q5 = _cli_digests(tmp)
-    yield "verify-theorem", verify
-    yield "q5", q5
+        yield "verify-theorem", _verify_digest(tmp)
+        yield "q5", _q5_digest(tmp, 2, 6)
+        yield "q5 m=3 nmax=7", _q5_digest(tmp, 3, 7)
     yield "codes n<=7", _sha(repr([connected_graph_bits(n) for n in range(1, 8)]))
     yield "codes n=8", _sha(repr(connected_graph_bits(8)))
     counts = [[automorphism_count(g) for g in connected_graphs(n)] for n in range(1, 8)]

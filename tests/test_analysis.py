@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import edgering.analysis
 import edgering.ehrhart
 from edgering.analysis import (
     CSV_HEADER,
@@ -10,6 +11,7 @@ from edgering.analysis import (
     run_families,
     verify_theorem,
 )
+from edgering.enumeration import MAX_N
 from edgering.graphs import (
     Graph,
     NotConnectedError,
@@ -135,8 +137,33 @@ def test_question5_examples():
     assert summary["normal_max_reg"] == 0
     assert summary["scope"] == "empirical, bounded scope"
     summary = question5_sweep(2, 5)
-    assert all(row["mat"] == 2 for row in summary["rows"])
+    assert all(row.mat == 2 for row in summary["rows"])
     assert summary["graphs_with_mat_m"] == len(summary["rows"])
+
+
+def test_question5_non_normal_branch():
+    # six of the graphs are non-normal (all on 7 vertices); under the default
+    # toric bound dim + 2 their largest principal regularity is 4
+    summary = question5_sweep(3, 7)
+    assert summary["graphs_with_mat_m"] == 925
+    assert summary["normal_max_reg"] == 3
+    assert summary["non_normal_principal_max_reg"] == 4
+    assert summary["toric_skipped_over_budget"] == 0
+    # degree 16 is over MAX_Q, so the budget aborts every non-normal graph
+    summary = question5_sweep(3, 7, toric_qmax=16)
+    assert summary["non_normal_principal_max_reg"] is None
+    assert summary["toric_skipped_over_budget"] == 6
+
+
+def test_vertex_limit_is_checked_before_enumerating(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"connected_graphs({n}) called for an out-of-range n_max")
+
+    monkeypatch.setattr(edgering.analysis, "connected_graphs", refuse)
+    for n_max in (1, MAX_N + 1):
+        for run in (verify_theorem, lambda n: question5_sweep(1, n)):
+            with pytest.raises(ValueError, match=f"^n_max must be between 2 and {MAX_N}$"):
+                run(n_max)
 
 
 def test_reports_deterministic_up_to_timing():
@@ -155,14 +182,13 @@ def test_question5_buckets_by_computed_mat():
     # appear in the m = 3 bucket and not in m = 2
     tt1 = two_triangles_path(1)
     in_m3 = question5_sweep(3, 6)
-    edges = [list(e) for e in tt1.edges]
     def canonical_present(summary):
         from edgering.enumeration import canonical_bits, graph_to_bits
         want = canonical_bits(tt1.d, graph_to_bits(tt1))
         for row in summary["rows"]:
-            if row["d"] != tt1.d:
+            if row.d != tt1.d:
                 continue
-            g = Graph.of(row["d"], [tuple(e) for e in row["edges"]])
+            g = Graph.of(row.d, row.edges)
             if canonical_bits(g.d, graph_to_bits(g)) == want:
                 return True
         return False

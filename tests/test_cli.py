@@ -6,6 +6,7 @@ import edgering.cli
 import edgering.matching
 from edgering.analysis import CSV_HEADER
 from edgering.cli import main
+from edgering.enumeration import MAX_N
 from edgering.graphs import render_graph, two_triangles_path
 from edgering.polytope import InvariantViolationError
 
@@ -109,6 +110,14 @@ def test_q5_cli(tmp_path, capsys):
     assert payload["normal_max_reg"] == 0
     assert payload["scope"] == "empirical, bounded scope"
     assert "rows" not in payload
+
+
+def test_vertex_limit_exits_with_error(capsys):
+    nmax = str(MAX_N + 1)
+    assert main(["verify-theorem", "--nmax", nmax]) == 1
+    assert main(["q5", "--m", "1", "--nmax", nmax]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error: n_max must be between 2 and {MAX_N}") == 2
 
 
 def test_subcommand_required():

@@ -40,7 +40,7 @@ def test_chordless_cycles_against_filtered_all_cycles():
     for n in range(3, 7):
         for g in connected_graphs(n):
             expected = sorted(c for c in all_cycles(g) if chordless(g, c))
-            assert chordless_cycles(g, odd_only=False) == expected
+            assert chordless_cycles(g) == expected
 
 
 def test_odd_cycle_condition():

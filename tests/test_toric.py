@@ -139,7 +139,7 @@ def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         minimal_generator_degrees(complete_graph(7), 12, budget=1000)
     with pytest.raises(BudgetExceededError):
-        fibers(complete_graph(7), 12, budget=1000)
+        fibers(complete_graph(7), 12)
 
 
 def test_budget_refuses_before_counting_any_degree(monkeypatch):
