@@ -15,10 +15,11 @@ the integer-decomposition test `check_idp`.
 One enumerator, `_candidate_blocks`, yields the integer vectors on the
 scaled hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows: the
 whole box for the lattice-point window behind h*, the all-positive slice for
-the interior search. Every block is tested against one facet kernel: the
-facet normals h of P, h.x >= 0 on every dilation, built once per graph, give
-through one float64 product and a min over facets both the lattice points
-(min >= 0) and the relative-interior points (min > 0) of every dilation.
+the interior search, which runs on G with its pendant vertices stripped.
+Every block is tested against one facet kernel: the facet normals h of P,
+h.x >= 0 on every dilation, built once per graph, give through one float64
+product and a min over facets both the lattice points (min >= 0) and the
+relative-interior points (min > 0) of every dilation.
 Counts take a count-only path that caches two integers per dilation and
 never materialises the points, so the window's memory is bounded by a block.
 
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, is_bipartite
+from .graphs import Graph, adjacency, induced_subgraph, is_bipartite
 from .normality import is_normal
 from .polytope import InvariantViolationError, edge_polytope
 
@@ -158,14 +159,14 @@ def _facet_matrix(g: Graph) -> np.ndarray:
     return out
 
 
-def _facet_min(g: Graph, cand: np.ndarray) -> np.ndarray:
-    """Least facet value h.x of each candidate row of a dilation qP: >= 0
-    inside qP, > 0 in its relative interior; +inf when P has no facets.
+def _facet_min(h: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Least facet value h.x, over the rows h of a facet matrix, of each
+    candidate row of a dilation qP: >= 0 inside qP, > 0 in its relative
+    interior; +inf when P has no facets.
 
     Evaluated facets-major, one block of rows at a time, so the float64
     working set is bounded however many candidates there are.
     """
-    h = _facet_matrix(g)
     out = np.empty(len(cand))
     for s in range(0, len(cand), _BLOCK_ROWS):
         block = cand[s:s + _BLOCK_ROWS].T.astype(np.float64)
@@ -226,8 +227,9 @@ def _window(g: Graph, q: int):
         # the origin: a lattice point of 0P, never counted as interior
         yield np.zeros((1, g.d), dtype=np.int16), np.zeros(1)
         return
+    h = _facet_matrix(g)
     for cand in _candidate_blocks(g, q, 0):
-        yield cand, _facet_min(g, cand)
+        yield cand, _facet_min(h, cand)
 
 
 def _lattice_classified(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,6 +324,24 @@ def check_idp(g: Graph, q_max: int) -> bool:
 # Interior threshold and regularity
 # ---------------------------------------------------------------------------
 
+def _leaf_core(g: Graph) -> tuple[int, ...]:
+    """The vertices left, sorted, after deleting degree-1 vertices one at a
+    time while more than two vertices remain: every vertex off a pendant tree
+    of a connected G, or the two ends of one edge when G is a tree."""
+    adj = adjacency(g)
+    degree = [len(nbrs) for nbrs in adj]
+    kept = set(g.vertices())
+    leaves = [v for v in kept if degree[v] == 1]
+    while leaves and len(kept) > 2:
+        v = leaves.pop()
+        kept.discard(v)
+        (u,) = adj[v] & kept
+        degree[u] -= 1
+        if degree[u] == 1:
+            leaves.append(u)
+    return tuple(sorted(kept))
+
+
 def min_interior_q(g: Graph) -> int:
     """Least q >= 1 whose dilation contains an interior lattice point.
 
@@ -332,13 +352,33 @@ def min_interior_q(g: Graph) -> int:
     each dilation is scanned. There sum x = 2q with every x_i >= 1, so the
     search starts at ceil(d / 2), which assumes no bound on the threshold, and
     must succeed by dim P + 1.
+
+    Pendant vertices are stripped first. If v is a leaf with neighbour u,
+    e_u + e_v is the only vertex of P(G) with x_v != 0, so P(G) is a pyramid
+    over P(G - v) with its apex at lattice height 1: a lattice point of
+    relint qP(G) is y + k (e_u + e_v) with 0 < k < q and y in
+    relint (q - k)P(G - v), hence min_interior_q(G) = min_interior_q(G - v) + 1.
+    The scan therefore runs on the core C that `_leaf_core` keeps, and adds
+    the number of leaves stripped. C's facets come from G's facet matrix, with
+    no second DD: P(G) is an iterated pyramid over P(C), whose facets are
+    those containing all of P(C), which vanish on every edge of C, and the
+    pyramids over the facets of P(C). So the rows of G's matrix that are
+    nonzero on some edge of C, restricted to C's columns, are facet normals
+    of P(C), one per facet.
     """
     if not is_normal(g):
         raise NotNormalError("interior threshold is computed for normal edge rings only")
-    p = edge_polytope(g)
-    for q in range((g.d + 1) // 2, p.dim + 2):
-        if any(np.any(_facet_min(g, block) > 0) for block in _candidate_blocks(g, q, 1)):
-            return q
+    kept = _leaf_core(g)
+    core, h = g, _facet_matrix(g)
+    if len(kept) < g.d:
+        core, _ = induced_subgraph(g, kept)
+        h = h[:, np.array(kept) - 1]
+        ends = np.array(core.edges) - 1
+        h = h[np.any(h[:, ends[:, 0]] + h[:, ends[:, 1]] != 0, axis=1)]
+    leaves = g.d - core.d
+    for q in range((core.d + 1) // 2, edge_polytope(g).dim - leaves + 2):
+        if any(np.any(_facet_min(h, block) > 0) for block in _candidate_blocks(core, q, 1)):
+            return q + leaves
     raise InvariantViolationError(
         "no interior lattice point found by dim + 1; input is non-normal or a bug"
     )

@@ -3,11 +3,12 @@
 These deliberately avoid the algorithms they check: matching and covering by
 exhaustive search, membership by Caratheodory-style subset solving, facets by
 candidate-hyperplane enumeration, dilation windows by scanning the whole box,
-h* from the full window's counts without reciprocity, sumsets and fibers by
+h* from the full window's counts without reciprocity, the interior
+threshold without the pendant-vertex reduction, sumsets and fibers by
 grouping edge multisets in a dict, generator counts by exact linear algebra
 and fiber by fiber with a search of each gcd graph, and labeled connected-graph counts by the classical recurrence. The rational
-elimination helpers are standalone so the oracles share nothing with the
-package implementation.
+elimination helpers are standalone so the rational oracles share nothing with
+the package implementation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
+from edgering.ehrhart import _candidate_blocks, _facet_matrix, _facet_min
 from edgering.graphs import Graph, adjacency
 from edgering.polytope import edge_polytope
 
@@ -277,6 +279,20 @@ def brute_window(g: Graph, q: int) -> tuple[set[tuple[int, ...]], set[tuple[int,
             if all(s > 0 for s in slack):
                 interior.add(x)
     return points, interior
+
+
+def unreduced_min_interior_q(g: Graph) -> int | None:
+    """The interior threshold scanned on G itself, with no pendant vertex
+    stripped: the all-positive slice of every dilation q = ceil(d/2)..dim + 1
+    of P(G) against G's own facet matrix; None when no dilation has an
+    interior point. It shares the candidate enumerator and the facet kernel
+    with the package (`brute_window` checks those), so it checks only the
+    pyramid reduction."""
+    h = _facet_matrix(g)
+    for q in range((g.d + 1) // 2, edge_polytope(g).dim + 2):
+        if any(np.any(_facet_min(h, block) > 0) for block in _candidate_blocks(g, q, 1)):
+            return q
+    return None
 
 
 def hstar_from_counts(counts: list[int], dim: int) -> tuple[int, ...]:

@@ -33,6 +33,12 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
 * families: the stdout (CSV) and stderr of `families --rmax 4 --lmax 6`, then
   `json.dumps(row.to_dict())` plus a newline per row of `run_families(4, 6)`,
   with the keys in their own order.
+* interior: `json.dumps(report, sort_keys=True) + "\\n"` of `analyze(g).to_dict()`
+  for leafy and leafless normal instances at the row budget: `path(9..15)`,
+  `star(12)`, `cycle(11)`, `complete_bipartite(6,6)`,
+  `attach_path(complete(8),1,4)` and `attach_path(complete_bipartite(4,4),1,6)`.
+  All but `path(9)`, `path(10)` and `star(12)` are over it, so their
+  regularity comes from the interior threshold alone.
 
 Takes under a minute; pytest does not collect this file.
 """
@@ -51,7 +57,7 @@ from edgering.analysis import analyze, run_families
 from edgering.cli import main
 from edgering.ehrhart import h_star, interior_count, lattice_count, min_interior_q
 from edgering.enumeration import automorphism_count, connected_graph_bits, connected_graphs
-from edgering.graphs import two_triangles_path
+from edgering.graphs import make_family, two_triangles_path
 from edgering.normality import is_normal
 from edgering.polytope import edge_polytope
 from edgering.toric import fibers, minimal_generator_degrees
@@ -68,7 +74,12 @@ PINNED = {
     "facets": "de5827d093ed60f3cc5cd5ddf60c91566632620d63ca4bfc11374088f98fcf38",
     "toric": "23ef35ebd96e99df6117bbb22478255d687f17fdabe513eae4ac609fe1f62b41",
     "families": "bfea9a53a44a8fb26daa3f538b22232fc3e06308008eddc0a936c9d87750ed8d",
+    "interior": "597eca3e9629a506df104418c89282f2eabccd8de8bfa122e809eeec768e1ca3",
 }
+INTERIOR_SPECS = [f"path({n})" for n in range(9, 16)] + [
+    "star(12)", "cycle(11)", "complete_bipartite(6,6)", "attach_path(complete(8),1,4)",
+    "attach_path(complete_bipartite(4,4),1,6)",
+]
 
 
 def _sha(text: str) -> str:
@@ -95,9 +106,9 @@ def _graphs() -> list:
     return [g for n in range(2, 8) for g in connected_graphs(n)] + connected_graphs(8)[::25]
 
 
-def _analyze_digest() -> str:
+def _analyze_digest(graphs) -> str:
     lines = []
-    for g in _graphs():
+    for g in graphs:
         report = analyze(g).to_dict()
         report.pop("seconds")
         lines.append(json.dumps(report, sort_keys=True) + "\n")
@@ -157,7 +168,7 @@ def _toric_digest() -> str:
 
 def _digests():
     """(name, digest) for every output, in the order they are printed."""
-    yield "analyze", _analyze_digest()
+    yield "analyze", _analyze_digest(_graphs())
     with tempfile.TemporaryDirectory() as tmp:
         yield "verify-theorem", _verify_digest(tmp)
         yield "q5", _q5_digest(tmp, 2, 6)
@@ -170,6 +181,7 @@ def _digests():
     yield "facets", _facets_digest()
     yield "toric", _toric_digest()
     yield "families", _families_digest()
+    yield "interior", _analyze_digest(make_family(spec) for spec in INTERIOR_SPECS)
 
 
 def main_digests() -> int:

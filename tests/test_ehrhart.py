@@ -24,11 +24,13 @@ from edgering.ehrhart import (
 )
 from edgering.enumeration import connected_graphs
 from edgering.graphs import (
+    Graph,
     adjacency,
     attach_path,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    is_bipartite,
     path_graph,
     star_graph,
     two_triangles_path,
@@ -37,7 +39,7 @@ from edgering.matching import matching_number
 from edgering.normality import is_normal
 from edgering.polytope import InvariantViolationError, contains, edge_polytope
 from edgering.toric import fibers
-from oracles import brute_window, hstar_from_counts, multidegree_classes
+from oracles import brute_window, hstar_from_counts, multidegree_classes, unreduced_min_interior_q
 
 
 def test_lattice_points_examples():
@@ -115,12 +117,59 @@ def test_min_interior_q_examples():
         min_interior_q(two_triangles_path(2))
 
 
-def test_interior_search_beyond_the_window_bound():
+def test_interior_search_beyond_the_window_bound(monkeypatch):
     # the interior search runs up to q = dim + 1 = 16, past the window's
-    # MAX_Q, so the facet kernel's exactness bound must cover q = 16
+    # MAX_Q, so the facet kernel's exactness bound must cover q = 16. star(17)
+    # is scanned on K2 and offset by its 15 stripped leaves; the leafless
+    # K_{2,16} is scanned itself, up to q = 16
     assert edgering.ehrhart.MAX_Q < 16
+    real_blocks = edgering.ehrhart._candidate_blocks
+    scanned = []
+
+    def blocks(g, q, lo):
+        scanned.append((g, q, lo))
+        return real_blocks(g, q, lo)
+
+    monkeypatch.setattr(edgering.ehrhart, "_candidate_blocks", blocks)
     for g in (star_graph(17), complete_bipartite_graph(2, 16)):
         assert min_interior_q(g) == 16
+    k216 = complete_bipartite_graph(2, 16)
+    assert (k216, 16, 1) in scanned
+    assert [(g.d, q) for g, q, _ in scanned if g != k216] == [(2, 1)]
+
+
+def test_leaf_core():
+    leaf_core = edgering.ehrhart._leaf_core
+    for tree in (path_graph(7), star_graph(6), path_graph(3)):
+        assert len(leaf_core(tree)) == 2
+    assert leaf_core(complete_graph(2)) == (1, 2)
+    assert leaf_core(cycle_graph(6)) == tuple(range(1, 7))
+    assert leaf_core(attach_path(complete_graph(4), 1, 2)) == (1, 2, 3, 4)
+
+
+def test_min_interior_q_matches_unreduced_scan():
+    # the pyramid reduction against the scan of G itself, on every normal
+    # connected graph with at most 7 vertices and on leafy instances up to d = 13
+    caterpillar = Graph.of(10, [(1, 2), (2, 3), (3, 4), (1, 5), (1, 6), (2, 7), (3, 8),
+                               (4, 9), (4, 10)])
+    leafy = [path_graph(n) for n in range(2, 14)] + [star_graph(d) for d in range(2, 13)]
+    leafy += [attach_path(complete_graph(4), 1, k) for k in range(1, 7)]
+    leafy += [attach_path(complete_bipartite_graph(3, 3), 1, k) for k in range(1, 6)]
+    leafy.append(caterpillar)
+    small = [g for n in range(2, 8) for g in connected_graphs(n) if is_normal(g)]
+    for g in small + leafy:
+        assert min_interior_q(g) == unreduced_min_interior_q(g), g
+
+
+def test_cross_check_guards_the_reduced_route(monkeypatch, capsys):
+    # a core one vertex too small gives a wrong threshold, which the h* degree
+    # catches wherever the window runs
+    real = edgering.ehrhart._leaf_core
+    monkeypatch.setattr(edgering.ehrhart, "_leaf_core", lambda g: real(g)[1:])
+    with pytest.raises(InvariantViolationError):
+        ehrhart_profile(attach_path(complete_graph(4), 1, 2))
+    assert main(["analyze", "--family", "attach_path(complete(4),1,2)"]) == 3
+    assert "internal error: h* degree" in capsys.readouterr().err
 
 
 def test_h_star_examples():
@@ -245,31 +294,36 @@ def test_one_cross_check_site(monkeypatch, capsys):
 def test_planted_counterexample_is_reported(monkeypatch, capsys):
     # the interior search starts at ceil(d/2), not at the bound's mu = d - mat,
     # so an interior point of qP at q = mu - 1 is looked at and, with the h*
-    # window over the row budget, reported as a violation (exit 2)
+    # window over the row budget, reported as a violation (exit 2). The plant
+    # sits in the leafless K_{2,4}, which the search scans itself: mu = 4,
+    # and the search starts at 3
     monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", 0)
-    star = star_graph(4)
-    mu = star.d - matching_number(star)
-    planted = np.ones((1, star.d), dtype=np.int16)
+    k24 = complete_bipartite_graph(2, 4)
+    mu = k24.d - matching_number(k24)
+    assert (k24.d + 1) // 2 == mu - 1 == 3
+    planted = np.ones((1, k24.d), dtype=np.int16)
     real_blocks = edgering.ehrhart._candidate_blocks
     real_min = edgering.ehrhart._facet_min
 
-    def is_star(g):
+    def is_k24(g):
+        # the only bipartite graph on 6 vertices with degrees 4, 4, 2, 2, 2, 2
         adj = adjacency(g)
-        return g.d == star.d and sorted(len(adj[v]) for v in g.vertices()) == [1, 1, 1, 3]
+        degrees = sorted(len(adj[v]) for v in g.vertices())
+        return g.d == k24.d and degrees == [2, 2, 2, 2, 4, 4] and is_bipartite(g) is not None
 
     def blocks(g, q, lo):
         yield from real_blocks(g, q, lo)
-        if is_star(g) and (q, lo) == (mu - 1, 1):
+        if is_k24(g) and (q, lo) == (mu - 1, 1):
             yield planted
 
     monkeypatch.setattr(edgering.ehrhart, "_candidate_blocks", blocks)
     monkeypatch.setattr(edgering.ehrhart, "_facet_min",
-                        lambda g, cand: np.ones(1) if cand is planted else real_min(g, cand))
-    assert main(["verify-theorem", "--nmax", "5"]) == 2
+                        lambda h, cand: np.ones(1) if cand is planted else real_min(h, cand))
+    assert main(["verify-theorem", "--nmax", "6"]) == 2
     err = capsys.readouterr().err
     [line] = err.splitlines()
     assert line.startswith("violation: ")
-    assert "'d': 4, 'edge_count': 3" in line and "'min_interior_q': 2" in line
+    assert "'d': 6, 'edge_count': 8" in line and "'min_interior_q': 3" in line
 
 
 @pytest.mark.parametrize("call", [lattice_points, interior_lattice_points, lattice_count,
