@@ -130,6 +130,7 @@ class Bipartition:
     right: frozenset[int]
 
 
+@lru_cache(maxsize=65536)
 def is_bipartite(g: Graph) -> Bipartition | None:
     """Return a 2-coloring if one exists, else None.
 

@@ -6,7 +6,10 @@ candidate-hyperplane enumeration, dilation windows by scanning the whole box,
 h* from the full window's counts without reciprocity, the interior
 threshold without the pendant-vertex reduction, sumsets and fibers by
 grouping edge multisets in a dict, generator counts by exact linear algebra
-and fiber by fiber with a search of each gcd graph, and labeled connected-graph counts by the classical recurrence. The rational
+and fiber by fiber with a search of each gcd graph, labeled connected-graph
+counts by the classical recurrence, stable colors one vertex at a time on
+bit masks, automorphisms over all n! permutations, and connected graphs by
+canonicalising every child of every parent one at a time. The rational
 elimination helpers are standalone so the rational oracles share nothing with
 the package implementation.
 """
@@ -16,11 +19,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
 from edgering.ehrhart import _candidate_blocks, _facet_matrix, _facet_min
+from edgering.enumeration import canonical_bits, edge_slots
 from edgering.graphs import Graph, adjacency
 from edgering.polytope import edge_polytope
 
@@ -442,3 +446,64 @@ def labeled_connected_count(n: int) -> int:
             * 2 ** math.comb(n - k, 2)
         )
     return total - rest
+
+
+# ---------------------------------------------------------------------------
+# Graph enumeration: colors, automorphisms and children one at a time
+# ---------------------------------------------------------------------------
+
+def adj_masks(n: int, bits: int) -> list[int]:
+    """Neighbor bit mask of each vertex of the graph with adjacency code bits."""
+    masks = [0] * n
+    for k, (i, j) in enumerate(edge_slots(n)):
+        if bits >> k & 1:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
+
+
+def stable_colors(n: int, bits: int) -> list[int]:
+    """Iterated neighbor-color refinement with canonical color ids: each
+    round sorts the distinct (color, sorted neighbor colors) signatures."""
+    masks = adj_masks(n, bits)
+    colors = [bin(m).count("1") for m in masks]
+    while True:
+        sigs = []
+        for v in range(n):
+            nb = []
+            m = masks[v]
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                nb.append(colors[u])
+            sigs.append((colors[v], tuple(sorted(nb))))
+        ids = {sig: k for k, sig in enumerate(sorted(set(sigs)))}
+        new = [ids[s] for s in sigs]
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+def brute_automorphisms(n: int, bits: int) -> set[tuple[int, ...]]:
+    """Every permutation of 0..n-1 that maps each edge to an edge."""
+    edges = {(i, j) for k, (i, j) in enumerate(edge_slots(n)) if bits >> k & 1}
+    return {
+        perm for perm in permutations(range(n))
+        if all((min(perm[i], perm[j]), max(perm[i], perm[j])) in edges for i, j in edges)
+    }
+
+
+def unpruned_connected_graph_bits(n: int) -> tuple[int, ...]:
+    """Canonical codes of the connected graphs on n vertices: vertex n
+    attached to every nonempty neighborhood of every representative on
+    n - 1 vertices, each child canonicalised on its own."""
+    if n == 1:
+        return (0,)
+    index = {pair: k for k, pair in enumerate(edge_slots(n))}
+    out = set()
+    for old in unpruned_connected_graph_bits(n - 1):
+        base = sum(1 << index[pair] for k, pair in enumerate(edge_slots(n - 1)) if old >> k & 1)
+        for nb in range(1, 1 << (n - 1)):
+            bits = base | sum(1 << index[(i, n - 1)] for i in range(n - 1) if nb >> i & 1)
+            out.add(canonical_bits(n, bits))
+    return tuple(sorted(out))

@@ -3,11 +3,16 @@ from hashlib import sha256
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
 import edgering.enumeration
 from edgering.enumeration import (
     MAX_N,
+    _adjacency,
+    _automorphisms,
+    _canonical_codes,
+    _stable_colors,
     automorphism_count,
     bits_to_graph,
     canonical_bits,
@@ -24,7 +29,12 @@ from edgering.graphs import (
     is_connected,
     path_graph,
 )
-from oracles import labeled_connected_count
+from oracles import (
+    brute_automorphisms,
+    labeled_connected_count,
+    stable_colors,
+    unpruned_connected_graph_bits,
+)
 
 
 def test_counts_match_orbit_identity():
@@ -104,6 +114,8 @@ def test_out_of_range_n_is_refused_before_any_table(monkeypatch):
     for n in (0, MAX_N + 1):
         with pytest.raises(ValueError, match="supported range"):
             canonical_bits(n, 0)
+        with pytest.raises(ValueError, match="supported range"):
+            _canonical_codes(np.zeros((1, n, n), dtype=bool))
     with pytest.raises(ValueError, match="supported range"):
         automorphism_count(path_graph(MAX_N + 1))
 
@@ -147,3 +159,59 @@ def test_known_small_counts():
 def test_bits_round_trip():
     g = Graph.of(5, [(1, 2), (2, 3), (4, 5)])
     assert bits_to_graph(5, graph_to_bits(g)) == g
+
+
+def _random_bits(rng, n):
+    density = rng.random()
+    return sum(1 << k for k in range(len(edge_slots(n))) if rng.random() < density)
+
+
+def _assert_colors_match_oracle(n, codes):
+    # one batch per n: graphs that settle early must keep their ids while
+    # the others refine further
+    batch = _stable_colors(np.array([_adjacency(n, bits) for bits in codes]))
+    assert [row.tolist() for row in batch] == [stable_colors(n, bits) for bits in codes]
+
+
+def test_batch_colors_match_oracle_on_connected_graphs():
+    for n in range(1, 8):
+        _assert_colors_match_oracle(n, connected_graph_bits(n))
+
+
+def test_batch_colors_match_oracle_on_random_graphs():
+    rng = random.Random(15)
+    for n in range(1, MAX_N + 1):
+        # the empty graph and most sparse draws are disconnected
+        codes = [0, (1 << len(edge_slots(n))) - 1] + [_random_bits(rng, n) for _ in range(200)]
+        _assert_colors_match_oracle(n, codes)
+
+
+def test_automorphisms_match_brute_force():
+    rng = random.Random(16)
+    for n in range(1, 7):
+        for bits in list(connected_graph_bits(n)) + [_random_bits(rng, n) for _ in range(10)]:
+            found = [tuple(row) for row in _automorphisms(n, bits).tolist()]
+            assert len(found) == len(set(found))
+            assert set(found) == brute_automorphisms(n, bits)
+
+
+def test_orbit_representative_counts_are_pinned(monkeypatch):
+    # children kept per level, summed over parents, against 3, 14, 90, 651
+    # and 7,056 children without the orbit rule
+    connected_graph_bits(7)
+    kept = []
+    canonical_codes = edgering.enumeration._canonical_codes
+
+    def counting(adj):
+        kept.append(len(adj))
+        return canonical_codes(adj)
+
+    monkeypatch.setattr(edgering.enumeration, "_canonical_codes", counting)
+    for n in range(3, 8):
+        assert connected_graph_bits.__wrapped__(n) == connected_graph_bits(n)
+    assert kept == [2, 8, 44, 333, 3771]
+
+
+def test_orbit_pruning_keeps_every_code():
+    for n in range(1, 7):
+        assert connected_graph_bits(n) == unpruned_connected_graph_bits(n)
