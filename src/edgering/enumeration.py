@@ -193,7 +193,6 @@ def _canonical_codes(adj: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1 << 20)
 def canonical_bits(n: int, bits: int) -> int:
     """Canonical adjacency code; equal codes mean isomorphic graphs."""
     return int(_canonical_codes(_adjacency(n, bits)[None])[0])

@@ -21,9 +21,9 @@ outputs are brought to the canonical form, so they compare as sets.
 
 One fraction-free elimination per graph (`linalg.eliminate` on [V^T | I],
 V the edge vectors) gives the dimension, the basis edges (its pivot
-columns), the initial simplicial cone of the double description (the right
-block of each pivot row) and each initial ray's zero set (the left block of
-the same row, which holds that ray's value on every edge).
+columns) and the initial simplicial cone of the double description (the
+right block of each pivot row, a ray that vanishes on every basis edge but
+its own).
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ class EdgePolytope:
     dim: int
     hull_equations: tuple[tuple[tuple[int, ...], int], ...]
     # the initial cone of the double description, kept only until facets()
-    # runs: (order, rays, masks), the edge indices in processing order with
-    # the basis edges first, one primitive ray per basis edge, and each ray's
-    # zero set over all edges as a bitmask on positions in `order`
+    # runs: (order, rays), the edge indices in processing order with the
+    # basis edges first, and one primitive ray per basis edge
     _cone: tuple | None = field(default=None, repr=False)
     _facets: tuple[FacetInequality, ...] | None = field(default=None, repr=False)
 
@@ -106,8 +105,7 @@ def edge_polytope(g: Graph) -> EdgePolytope:
     verts = tuple(_edge_vector(g.d, e) for e in g.edges)
     bip = is_bipartite(g)
     # Eliminating [V^T | I] leaves, in pivot row i, a functional (the right
-    # block) and its values on every edge vector (the left block): det on the
-    # i-th basis edge and 0 on the other basis edges.
+    # block) whose value is det on the i-th basis edge and 0 on the others.
     aug = [[v[k] for v in verts] + [int(k == j) for j in range(g.d)] for k in range(g.d)]
     reduced, basis, det = linalg.eliminate(aug, g.m)
     dim = len(basis) - 1
@@ -128,11 +126,7 @@ def edge_polytope(g: Graph) -> EdgePolytope:
     order = tuple(basis + [e for e in range(g.m) if e not in chosen])
     sign = 1 if det > 0 else -1
     rays = [linalg.primitive(sign * x for x in row[g.m:]) for row in reduced[: len(basis)]]
-    masks = [
-        sum(1 << k for k, e in enumerate(order) if row[e] == 0)
-        for row in reduced[: len(basis)]
-    ]
-    return EdgePolytope(g, g.d, verts, dim, tuple(equations), (order, rays, masks))
+    return EdgePolytope(g, g.d, verts, dim, tuple(equations), (order, rays))
 
 
 def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequality:
@@ -165,12 +159,14 @@ def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
 
     The initial cone is simplicial, so every intermediate cone is pointed
     (modulo chi_L - chi_R when G is bipartite) and each new ray comes from
-    exactly one adjacent pair.
+    exactly one adjacent pair. A ray's mask holds its zero set over the
+    edges processed so far, as bits on positions in `order`.
     """
     if p.dim < 1:
         return ()
-    order, rays, masks = p._cone
+    order, rays = p._cone
     n = len(rays)
+    masks = [((1 << n) - 1) ^ (1 << k) for k in range(n)]
     edges = [p.graph.edges[e] for e in order]
     for step in range(n, len(order)):
         i, j = edges[step]
@@ -183,11 +179,9 @@ def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
         minus = [k for k, v in enumerate(vals) if v < 0]
         new_rays = [r for r, v in zip(rays, vals) if v >= 0]
         new_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v >= 0]
-        # the initial masks also cover edges not processed yet
-        done = bit - 1
         for kp in plus:
             for km in minus:
-                common = masks[kp] & masks[km] & done
+                common = masks[kp] & masks[km]
                 if common.bit_count() < n - 2:
                     continue
                 adjacent = True
@@ -215,42 +209,14 @@ def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
 # Graph-side facet prediction
 # ---------------------------------------------------------------------------
 
-def _component_subgraphs(g: Graph, removed: set[int]):
+def _bipartite_parts(g: Graph, removed) -> list[bool]:
+    """Whether each component of g minus the removed vertices is bipartite."""
     rest = [v for v in g.vertices() if v not in removed]
     if not rest:
         return []
-    sub, kept = induced_subgraph(g, rest)
+    sub, _ = induced_subgraph(g, rest)
     comps = connected_components(sub)
-    return [frozenset(kept[v - 1] for v in comp) for comp in comps]
-
-
-def _is_bipartite_on(g: Graph, vertex_set: frozenset[int]) -> bool:
-    sub, _ = induced_subgraph(g, sorted(vertex_set))
-    return is_bipartite(sub) is not None
-
-
-def _neighborhood_graph_connected(g: Graph, t: frozenset[int]) -> tuple[bool, frozenset[int]]:
-    """Connectivity of the bipartite graph spanned by edges meeting the
-    independent set t; returns (connected, neighborhood)."""
-    adj = adjacency(g)
-    nbhd = frozenset(u for v in t for u in adj[v])
-    touched = [e for e in g.edges if e[0] in t or e[1] in t]
-    verts = t | nbhd
-    if not touched:
-        return False, nbhd
-    comp = {touched[0][0], touched[0][1]}
-    frontier = list(comp)
-    link: dict[int, set[int]] = {v: set() for v in verts}
-    for a, b in touched:
-        link[a].add(b)
-        link[b].add(a)
-    while frontier:
-        v = frontier.pop()
-        for u in link[v]:
-            if u not in comp:
-                comp.add(u)
-                frontier.append(u)
-    return comp == set(verts), nbhd
+    return [is_bipartite(induced_subgraph(sub, c)[0]) is not None for c in comps]
 
 
 def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
@@ -276,37 +242,30 @@ def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
         f = canonical_inequality(p, normal, provenance)
         found.setdefault(f.normal, f)
 
+    def admissible(removed) -> bool:
+        parts = _bipartite_parts(g, removed)
+        return not any(parts) if bip is None else len(parts) == 1
+
     for i in g.vertices():
-        comps = _component_subgraphs(g, {i})
-        if bip is None:
-            ok = all(not _is_bipartite_on(g, comp) for comp in comps)
-        else:
-            ok = len(comps) == 1
-        if ok:
+        if admissible({i}):
             normal = [0] * g.d
             normal[i - 1] = 1
             record(normal, f"coordinate({i})")
 
-    verts = list(g.vertices())
     adj = adjacency(g)
     for mask in range(1, 1 << g.d):
-        t = frozenset(verts[k] for k in range(g.d) if mask >> k & 1)
-        if any(u in adj[v] for v in t for u in t if u > v):
+        t = frozenset(v for v in g.vertices() if mask >> (v - 1) & 1)
+        nbhd = frozenset(u for v in t for u in adj[v])
+        if t & nbhd:  # T is not independent
             continue
-        connected_nbhd, nbhd = _neighborhood_graph_connected(g, t)
-        if not connected_nbhd:
+        # every vertex outside T and N(T) is isolated in the graph of the
+        # edges at T, so those edges connect T and N(T) exactly when it has
+        # one more component than there are such vertices
+        touched = Graph(g.d, tuple(e for e in g.edges if e[0] in t or e[1] in t))
+        if len(connected_components(touched)) != g.d - len(t | nbhd) + 1:
             continue
-        rest = frozenset(g.vertices()) - t - nbhd
-        if bip is None:
-            comps = _component_subgraphs(g, set(t | nbhd))
-            if any(_is_bipartite_on(g, comp) for comp in comps):
-                continue
-        else:
-            if not rest:
-                continue
-            comps = _component_subgraphs(g, set(t | nbhd))
-            if len(comps) != 1:
-                continue
+        if not admissible(t | nbhd):
+            continue
         normal = [0] * g.d
         for v in nbhd:
             normal[v - 1] = 1

@@ -39,6 +39,10 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
   `attach_path(complete(8),1,4)` and `attach_path(complete_bipartite(4,4),1,6)`.
   All but `path(9)`, `path(10)` and `star(12)` are over it, so their
   regularity comes from the interior threshold alone.
+* predicted: per graph, `repr((g.edges, predicted_facets(g)))` plus a newline,
+  over every connected graph with 2 <= n <= 7, then `path(13)`, `cycle(11)`,
+  `attach_path(complete(8),1,4)` and `two_triangles_path(4)`. It pins the
+  graph-side facet route, provenance strings included.
 
 Takes under a minute; pytest does not collect this file.
 """
@@ -59,7 +63,7 @@ from edgering.ehrhart import h_star, interior_count, lattice_count, min_interior
 from edgering.enumeration import automorphism_count, connected_graph_bits, connected_graphs
 from edgering.graphs import make_family, two_triangles_path
 from edgering.normality import is_normal
-from edgering.polytope import edge_polytope
+from edgering.polytope import edge_polytope, predicted_facets
 from edgering.toric import fibers, minimal_generator_degrees
 
 PINNED = {
@@ -75,11 +79,13 @@ PINNED = {
     "toric": "23ef35ebd96e99df6117bbb22478255d687f17fdabe513eae4ac609fe1f62b41",
     "families": "bfea9a53a44a8fb26daa3f538b22232fc3e06308008eddc0a936c9d87750ed8d",
     "interior": "597eca3e9629a506df104418c89282f2eabccd8de8bfa122e809eeec768e1ca3",
+    "predicted": "f7796923d85f697b9c83608cb4ef309dc3c6cb4857a0a12ab1c1f67b43aa60b1",
 }
 INTERIOR_SPECS = [f"path({n})" for n in range(9, 16)] + [
     "star(12)", "cycle(11)", "complete_bipartite(6,6)", "attach_path(complete(8),1,4)",
     "attach_path(complete_bipartite(4,4),1,6)",
 ]
+PREDICTED_SPECS = ["path(13)", "cycle(11)", "attach_path(complete(8),1,4)", "two_triangles_path(4)"]
 
 
 def _sha(text: str) -> str:
@@ -156,6 +162,12 @@ def _facets_digest() -> str:
     return _sha("".join(lines))
 
 
+def _predicted_digest() -> str:
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
+    graphs += [make_family(spec) for spec in PREDICTED_SPECS]
+    return _sha("".join(repr((g.edges, predicted_facets(g))) + "\n" for g in graphs))
+
+
 def _toric_digest() -> str:
     jobs = [(g, edge_polytope(g).dim + 2) for g in connected_graphs(7) if not is_normal(g)]
     jobs += [(two_triangles_path(ell), ell + 4) for ell in range(1, 7)]
@@ -182,6 +194,7 @@ def _digests():
     yield "toric", _toric_digest()
     yield "families", _families_digest()
     yield "interior", _analyze_digest(make_family(spec) for spec in INTERIOR_SPECS)
+    yield "predicted", _predicted_digest()
 
 
 def main_digests() -> int:
