@@ -14,22 +14,25 @@ the integer-decomposition test `check_idp`.
 
 One enumerator, `_candidate_blocks`, yields the integer vectors on the
 scaled hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows: the
-whole box for the lattice-point window behind h*, the all-positive slice for
-the interior search, which runs on G with its pendant vertices stripped.
-Every block is tested against one facet kernel: the facet normals h of P,
-h.x >= 0 on every dilation, built once per graph, give through one float64
-product and a min over facets both the lattice points (min >= 0) and the
-relative-interior points (min > 0) of every dilation.
+whole box for the lattice counts behind h*, the all-positive slice for h*'s
+interior counts and for the interior search, which runs on G with its
+pendant vertices stripped. Every block is tested against one facet kernel:
+the facet normals h of P, h.x >= 0 on every dilation, built once per graph,
+give through one float64 product and a min over facets both the lattice
+points (min >= 0) and the relative-interior points (min > 0) of every
+dilation.
 Counts take a count-only path that caches two integers per dilation and
 never materialises the points, so the window's memory is bounded by a block.
 
 The h*-vector is the numerator of the Ehrhart series, sum |qP| t^q =
-h*(t) / (1 - t)^(dim + 1). `h_star` counts the window only for
-q <= Q = ceil(dim/2) + 2, about half of dim + 2, and reads h* from both ends
-with one convolution: the lattice counts give h*_0..h*_Q, and the interior
-counts, which Ehrhart reciprocity makes the same series read from the top,
-give h*_(dim + 1 - Q)..h*_(dim + 1). Where the two ends overlap or leave
-0..dim they must agree or be 0: at least 4 equations, checked on every graph.
+h*(t) / (1 - t)^(dim + 1). `h_star` reads h* from both ends with one
+convolution: the lattice counts at q <= a give h*_0..h*_a, and the interior
+counts at q <= b, which Ehrhart reciprocity makes the same series read from
+the top, give h*_(dim + 1 - b)..h*_(dim + 1). Interior points are
+all-positive, so the interior counts scan only the small all-positive slice,
+and the split (a, b) with the fewest candidate rows is usually a = 3,
+b = dim. Where the two ends overlap or leave 0..dim they must agree or be 0:
+4 equations, checked on every graph.
 
 Coordinates in a dilation q*P are bounded by q <= 15, so points are packed
 into single integers base 16 for deduplication; `_radix_weights` is the one
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,10 +72,17 @@ class BudgetExceededError(RuntimeError):
 # Integer-vector plumbing
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _compositions(total: int, parts: int, cap: int) -> np.ndarray:
     """All integer vectors of length `parts` with entries in [0, cap] summing
-    to `total`, as a read-only (N, parts) array."""
+    to `total`, as a read-only (N, parts) array.
+
+    A cap at or above the total removes no rows, so the table is cached
+    under min(cap, total) and shared by every such cap."""
+    return _capped_compositions(total, parts, min(cap, total))
+
+
+@lru_cache(maxsize=None)
+def _capped_compositions(total: int, parts: int, cap: int) -> np.ndarray:
     if parts <= 1:
         fits = total == 0 if parts == 0 else 0 <= total <= cap
         arr = np.full((int(fits), parts), total, dtype=np.int16)
@@ -150,10 +161,13 @@ def _facet_matrix(g: Graph) -> np.ndarray:
     matrix H, so one H serves every q."""
     fs = edge_polytope(g).facets()
     h = np.array([f.normal for f in fs], dtype=np.int64).reshape(-1, g.d)
-    # the window stops at q = MAX_Q and the interior search at q = dim + 1 <= d,
-    # so with 0 <= x <= max(MAX_Q, d) every partial sum of H @ x is an integer
-    # of magnitude below 2**53, and the float64 product is exact
-    assert int(np.abs(h).max(initial=0)) * max(MAX_Q, g.d) * g.d < 1 << 53
+    # the window and h*'s interior slice validate q <= MAX_Q (h* reads the
+    # slice up to q = b <= min(dim + 2, MAX_Q)), and the interior search stops
+    # at q = dim + 1, so with 0 <= x <= max(MAX_Q, dim + 1) every partial sum
+    # of H @ x is an integer of magnitude below 2**53: the float64 product is
+    # exact
+    top = max(MAX_Q, edge_polytope(g).dim + 1)
+    assert int(np.abs(h).max(initial=0)) * top * g.d < 1 << 53
     out = h.astype(np.float64)
     out.setflags(write=False)
     return out
@@ -200,10 +214,13 @@ def _candidate_blocks(g: Graph, q: int, lo: int):
 
 
 def window_row_cost(g: Graph, q_max: int) -> int:
-    """Candidate rows of the geometric enumeration up to q_max: exact for
+    """Candidate rows of the whole box of candidates up to q_max: exact for
     bipartite G, else an upper bound that ignores the cap q (6 at d = 3,
-    q = 1, where there are 3). The row budget reads this figure at
-    q_max = dim + 2, not at the dilations `h_star` evaluates."""
+    q = 1, where there are 3).
+
+    This is the row budget's gate. `h_star` reads it at q_max = dim + 2, the
+    full window, not at the far fewer rows it evaluates, so that h* is
+    skipped on exactly the graphs where the full window skipped it."""
     bip = is_bipartite(g)
     total = 0
     for q in range(1, q_max + 1):
@@ -216,13 +233,17 @@ def window_row_cost(g: Graph, q_max: int) -> int:
     return total
 
 
-def _window(g: Graph, q: int):
-    """(candidates, facet minima) of the dilation qP, one block at a time;
-    every window function validates q here."""
+def _check_dilation(q: int) -> None:
     if q < 0:
         raise ValueError("q must be nonnegative")
     if q > MAX_Q:
         raise BudgetExceededError(f"dilation {q} exceeds the supported bound {MAX_Q}")
+
+
+def _window(g: Graph, q: int):
+    """(candidates, facet minima) of the dilation qP, one block at a time;
+    every window function validates q here."""
+    _check_dilation(q)
     if q == 0:
         # the origin: a lattice point of 0P, never counted as interior
         yield np.zeros((1, g.d), dtype=np.int16), np.zeros(1)
@@ -271,6 +292,17 @@ def lattice_count(g: Graph, q: int) -> int:
 
 def interior_count(g: Graph, q: int) -> int:
     return _window_counts(g, q)[1]
+
+
+def _slice_interior_count(g: Graph, q: int) -> int:
+    """|relint qP| from the all-positive slice of the candidates, tested
+    against G's whole facet matrix: a relative-interior point has every
+    coordinate >= 1 (see `min_interior_q`), so the slice holds all of them,
+    and the count is 0 when 2q < d, where the slice is empty."""
+    _check_dilation(q)
+    h = _facet_matrix(g)
+    return sum(int(np.count_nonzero(_facet_min(h, block) > 0))
+               for block in _candidate_blocks(g, q, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +416,35 @@ def min_interior_q(g: Graph) -> int:
     )
 
 
-def _measured_top(dim: int) -> int:
-    """Q, the largest dilation h_star counts (never above dim + 2): the
-    2Q + 1 counts at q <= Q exceed the dim + 1 entries of h* by at least 4."""
-    return (dim + 1) // 2 + 2
+def _candidate_rows(d: int, sides: tuple[int, int] | None, q: int, lo: int) -> int:
+    """The rows `_candidate_blocks(g, q, lo)` yields for a graph on d vertices,
+    bipartite with these side sizes or not (None)."""
+    if sides is None:
+        return _count(2 * q - lo * d, d, q - lo)
+    return math.prod(_count(q - lo * s, s, q - lo) for s in sides)
+
+
+@lru_cache(maxsize=None)
+def _split(d: int, dim: int, sides: tuple[int, int] | None) -> tuple[int, int]:
+    """(a, b): `h_star` reads lattice counts at q <= a and interior counts at
+    q <= b, with a + b + 1 - dim = 4 spare reciprocity equations and the fewest
+    candidate rows, ties to the least a. A lattice count at q >= 1 scans the
+    box, an interior count at 2q >= d the all-positive slice; the interior
+    counts at 2q < d are 0 with no scan. Both ends stay at or below
+    min(dim + 2, MAX_Q). The split depends only on the shape: d, dim and the
+    side sizes of a bipartite G (None otherwise)."""
+    top = min(dim + 2, MAX_Q)
+    qs = range(1, top + 1)
+    # box[a]: rows of the lattice counts at q <= a; positive[b]: of the
+    # interior counts at q <= b
+    box = [0, *accumulate(_candidate_rows(d, sides, q, 0) for q in qs)]
+    positive = [0, *accumulate(_candidate_rows(d, sides, q, 1) if 2 * q >= d else 0 for q in qs)]
+    splits = [(box[a] + positive[dim + 3 - a], a, dim + 3 - a)
+              for a in range(dim + 3 - top, top + 1)]
+    if not splits:
+        raise BudgetExceededError(f"no split of h* for dim {dim} within dilation {MAX_Q}")
+    _, a, b = min(splits)
+    return a, b
 
 
 def _numerator(values: list[int], dim: int) -> list[int]:
@@ -416,18 +473,20 @@ def ehrhart_polynomial_value(h_star_vec, dim: int, q: int) -> int:
 def h_star(g: Graph) -> tuple[int, ...]:
     """h*-vector of the edge polytope of a normal graph.
 
-    One window pass per dilation q = 0..Q, Q = ceil(dim/2) + 2, measures
-    |qP| and |relint qP|. The lattice counts are the series
-    h*(t) / (1 - t)^(dim + 1), so one convolution reads h*_0..h*_Q off them.
-    By Ehrhart reciprocity the interior counts (q >= 1) are the series
+    The lattice counts |qP| are the series h*(t) / (1 - t)^(dim + 1), so one
+    convolution reads h*_0..h*_a off the counts at q <= a. By Ehrhart
+    reciprocity the interior counts |relint qP| (0 at q = 0) are the series
     t^(dim + 1) h*(1/t) / (1 - t)^(dim + 1), so the same convolution reads
-    h*_(dim + 1) down to h*_(dim + 1 - Q) off them. Every index both ends
-    name must agree, and every index outside 0..dim must be 0: at least 4
-    equations beyond the dim + 1 entries; a failure raises
-    InvariantViolationError. h*_0 = 1 and nonnegativity are enforced as
-    runtime diagnostics.
+    h*_(dim + 1) down to h*_(dim + 1 - b) off the counts at q <= b. The
+    lattice counts scan the whole box of candidates; the interior counts
+    scan only its all-positive slice, and are 0 with no scan when 2q < d.
+    `_split` picks (a, b) per shape, with the fewest candidate rows. Every
+    index both ends name must agree, and every index outside 0..dim must be
+    0: a + b + 1 - dim = 4 equations beyond the dim + 1 entries; a failure
+    raises InvariantViolationError. h*_0 = 1 and nonnegativity are enforced
+    as runtime diagnostics.
 
-    This is the one place the row budget is read: before any window pass,
+    This is the one place the row budget is read: before any count,
     BudgetExceededError is raised when window_row_cost(g, dim + 2) exceeds
     it.
     """
@@ -439,9 +498,12 @@ def h_star(g: Graph) -> tuple[int, ...]:
         raise BudgetExceededError(
             f"enumeration of {cost} candidate rows exceeds the budget {budget}"
         )
-    top = _measured_top(dim)
-    low = _numerator([lattice_count(g, q) for q in range(top + 1)], dim)
-    high = _numerator([0] + [interior_count(g, q) for q in range(1, top + 1)], dim)
+    bip = is_bipartite(g)
+    a, b = _split(g.d, dim, None if bip is None else (len(bip.left), len(bip.right)))
+    low = _numerator([lattice_count(g, q) for q in range(a + 1)], dim)
+    high = _numerator(
+        [_slice_interior_count(g, q) if 2 * q >= g.d else 0 for q in range(b + 1)], dim
+    )
     h: list[int | None] = [None] * (dim + 1)
     for i, x in [*enumerate(low), *((dim + 1 - k, x) for k, x in enumerate(high))]:
         want = h[i] if 0 <= i <= dim else 0

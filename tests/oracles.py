@@ -4,7 +4,8 @@ These deliberately avoid the algorithms they check: matching and covering by
 exhaustive search, membership by Caratheodory-style subset solving, facets by
 candidate-hyperplane enumeration, dilation windows by scanning the whole box,
 h* from the full window's counts without reciprocity, the interior
-threshold without the pendant-vertex reduction, sumsets and fibers by
+threshold without the pendant-vertex reduction, composition tables by the
+recursion that keeps every cap as given, sumsets and fibers by
 grouping edge multisets in a dict, generator counts by exact linear algebra
 and fiber by fiber with a search of each gcd graph, labeled connected-graph
 counts by the classical recurrence, stable colors one vertex at a time on
@@ -312,6 +313,21 @@ def hstar_from_counts(counts: list[int], dim: int) -> tuple[int, ...]:
     while len(h) > 1 and h[-1] == 0:
         h.pop()
     return tuple(h)
+
+
+def uncapped_compositions(total: int, parts: int, cap: int) -> np.ndarray:
+    """All integer vectors of length `parts` with entries in [0, cap] summing
+    to `total`, as an int16 array: the recursion on the first coordinate with
+    the cap passed down as given, never lowered to the remaining total, and
+    no cache."""
+    if parts <= 1:
+        fits = total == 0 if parts == 0 else 0 <= total <= cap
+        return np.full((int(fits), parts), total, dtype=np.int16)
+    blocks = [np.zeros((0, parts), dtype=np.int16)]
+    for v in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1):
+        tail = uncapped_compositions(total - v, parts - 1, cap)
+        blocks.append(np.column_stack([np.full(len(tail), v, dtype=np.int16), tail]))
+    return np.concatenate(blocks)
 
 
 def multidegree_classes(g: Graph, q: int) -> dict[tuple[int, ...], list[tuple]]:

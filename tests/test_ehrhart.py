@@ -9,6 +9,10 @@ from edgering.cli import main
 from edgering.ehrhart import (
     BudgetExceededError,
     NotNormalError,
+    _candidate_blocks,
+    _compositions,
+    _slice_interior_count,
+    _split,
     check_idp,
     ehrhart_polynomial_value,
     ehrhart_profile,
@@ -39,7 +43,13 @@ from edgering.matching import matching_number
 from edgering.normality import is_normal
 from edgering.polytope import InvariantViolationError, contains, edge_polytope
 from edgering.toric import fibers
-from oracles import brute_window, hstar_from_counts, multidegree_classes, unreduced_min_interior_q
+from oracles import (
+    brute_window,
+    hstar_from_counts,
+    multidegree_classes,
+    uncapped_compositions,
+    unreduced_min_interior_q,
+)
 
 
 def test_lattice_points_examples():
@@ -220,8 +230,10 @@ def test_window_matches_brute_force_box_scan():
 
 
 def test_reciprocity_failure_is_an_invariant_violation(monkeypatch):
-    real = edgering.ehrhart.interior_count
-    monkeypatch.setattr(edgering.ehrhart, "interior_count", lambda g, q: real(g, q) + (q == 2))
+    # C4 (d = 4) reads its interior counts from the slice at q = 2..4
+    real = edgering.ehrhart._slice_interior_count
+    monkeypatch.setattr(edgering.ehrhart, "_slice_interior_count",
+                        lambda g, q: real(g, q) + (q == 2))
     with pytest.raises(InvariantViolationError, match="reciprocity"):
         h_star(cycle_graph(4))
 
@@ -327,10 +339,19 @@ def test_planted_counterexample_is_reported(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("call", [lattice_points, interior_lattice_points, lattice_count,
-                                  interior_count, idp_points, hilbert_function])
+                                  interior_count, idp_points, hilbert_function,
+                                  _slice_interior_count])
 def test_negative_q_is_refused(call):
     with pytest.raises(ValueError, match="nonnegative"):
         call(complete_graph(4), -1)
+
+
+@pytest.mark.parametrize("call", [lattice_count, interior_count, _slice_interior_count])
+def test_q_over_max_is_refused(call):
+    g = complete_graph(4)
+    call(g, edgering.ehrhart.MAX_Q)
+    with pytest.raises(BudgetExceededError, match="supported bound"):
+        call(g, edgering.ehrhart.MAX_Q + 1)
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), complete_bipartite_graph(2, 3),
@@ -392,7 +413,7 @@ def test_point_codes_fit_int64_or_raise(d):
 
 
 def test_half_window_matches_full_window():
-    # h* from the counts at q <= ceil(dim/2) + 2 plus reciprocity equals h*
+    # h* from the split's lattice and slice counts plus reciprocity equals h*
     # read straight off the full window's counts at q = 0..dim
     small = [g for n in range(2, 7) for g in connected_graphs(n) if is_normal(g)]
     larger = [cycle_graph(7), complete_graph(6), complete_bipartite_graph(3, 4), path_graph(8)]
@@ -405,35 +426,106 @@ def test_half_window_matches_full_window():
     assert {0, 1, 2, 3} <= dims  # K2, both parities of dim
 
 
+def _read_counts(g):
+    """(lattice qs, interior qs) that h_star reads for g: the lattice counts
+    at q <= a and the interior slice at ceil(d/2) <= q <= b."""
+    bip = is_bipartite(g)
+    a, b = _split(g.d, edge_polytope(g).dim, None if bip is None else (len(bip.left), len(bip.right)))
+    return list(range(a + 1)), list(range((g.d + 1) // 2, b + 1))
+
+
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), complete_bipartite_graph(3, 3),
                                cycle_graph(7)], ids=["K4", "C5", "K33", "C7"])
 def test_h_star_counts_only_the_half_window(monkeypatch, g):
-    asked = []
-    real = edgering.ehrhart._window
+    # h* scans the box only at q = 1..a and the all-positive slice only at
+    # q = ceil(d/2)..b, with a + b + 1 - dim = 4 spare equations
+    windows, blocks = [], []
+    real_window, real_blocks = edgering.ehrhart._window, edgering.ehrhart._candidate_blocks
 
     def window(graph, q):
-        asked.append(q)
-        return real(graph, q)
+        windows.append(q)
+        return real_window(graph, q)
+
+    def candidate_blocks(graph, q, lo):
+        blocks.append((q, lo))
+        return real_blocks(graph, q, lo)
 
     monkeypatch.setattr(edgering.ehrhart, "_window", window)
+    monkeypatch.setattr(edgering.ehrhart, "_candidate_blocks", candidate_blocks)
     edgering.ehrhart._window_counts.cache_clear()
     dim = edge_polytope(g).dim
+    lattice, interior = _read_counts(g)
+    assert lattice[-1] + interior[-1] + 1 - dim == 4
     h_star(g)
-    assert sorted(set(asked)) == list(range((dim + 1) // 2 + 3))
+    assert sorted(set(windows)) == lattice
+    assert sorted(set(blocks)) == [(q, 0) for q in lattice[1:]] + [(q, 1) for q in interior]
+    assert max(lattice) < (dim + 1) // 2 + 2  # the box at fewer than ceil(dim/2) + 2 dilations
 
 
 def _single_faults():
-    for name, g in [("C4", cycle_graph(4)), ("K4", complete_graph(4))]:
-        top = (edge_polytope(g).dim + 1) // 2 + 2
+    # every count up to dim + 2, read by h_star or not
+    for name, g in [("C4", cycle_graph(4)), ("K4", complete_graph(4)),
+                    ("K33", complete_bipartite_graph(3, 3)), ("C7", cycle_graph(7))]:
+        top = edge_polytope(g).dim + 2
         for q in range(top + 1):
             yield pytest.param(g, "lattice_count", q, id=f"{name}-lattice-{q}")
         for q in range(1, top + 1):
-            yield pytest.param(g, "interior_count", q, id=f"{name}-interior-{q}")
+            yield pytest.param(g, "_slice_interior_count", q, id=f"{name}-interior-{q}")
 
 
 @pytest.mark.parametrize("g, count, fault_q", _single_faults())
 def test_single_count_fault_breaks_reciprocity(monkeypatch, g, count, fault_q):
+    # a +1 fault in any count h_star reads breaks reciprocity; a fault in a
+    # count it does not read leaves h* as it is
+    expected = h_star(g)
+    lattice, interior = _read_counts(g)
     real = getattr(edgering.ehrhart, count)
     monkeypatch.setattr(edgering.ehrhart, count, lambda graph, q: real(graph, q) + (q == fault_q))
-    with pytest.raises(InvariantViolationError, match="reciprocity"):
-        h_star(g)
+    if fault_q in (lattice if count == "lattice_count" else interior):
+        with pytest.raises(InvariantViolationError, match="reciprocity"):
+            h_star(g)
+    else:
+        assert h_star(g) == expected
+
+
+def test_slice_interior_count_matches_full_window():
+    # the all-positive slice against G's whole facet matrix counts the same
+    # interior points as the full window, at every q <= dim + 2
+    small = [g for n in range(2, 7) for g in connected_graphs(n) if is_normal(g)]
+    larger = [cycle_graph(7), complete_bipartite_graph(3, 4), path_graph(8)]
+    for g in small + larger:
+        for q in range(edge_polytope(g).dim + 3):
+            assert _slice_interior_count(g, q) == interior_count(g, q), (g, q)
+
+
+def test_split_of_every_shape():
+    # for every shape with d <= 15, bipartite or not: 4 spare equations, both
+    # ends within min(dim + 2, MAX_Q), and the row figure the split is chosen
+    # by equals the rows the enumerator yields for those dilations
+    rows = edgering.ehrhart._candidate_rows
+    for d in range(2, 16):
+        shapes = [(complete_graph(d), None, d - 1)] if d >= 3 else []
+        shapes += [(complete_bipartite_graph(k, d - k), (k, d - k), d - 2)
+                   for k in range(1, d // 2 + 1)]
+        for g, sides, dim in shapes:
+            a, b = _split(d, dim, sides)
+            assert a + b + 1 - dim >= 4
+            assert max(a, b) <= min(dim + 2, edgering.ehrhart.MAX_Q)
+            box, positive = range(1, a + 1), range((d + 1) // 2, b + 1)
+            figure = sum(rows(d, sides, q, 0) for q in box) + sum(rows(d, sides, q, 1) for q in positive)
+            yielded = sum(len(block) for q in box for block in _candidate_blocks(g, q, 0))
+            yielded += sum(len(block) for q in positive for block in _candidate_blocks(g, q, 1))
+            assert figure == yielded, (d, sides)
+    assert _split(9, 8, None) == (3, 8)
+
+
+def test_compositions_match_uncapped_recursion():
+    # keying the cache on min(cap, total) moves no row: every table equals
+    # the recursion that keeps the cap as given, dtype and row order included
+    for parts in range(7):
+        for total in range(-1, 9):
+            for cap in range(10):
+                got = _compositions(total, parts, cap)
+                want = uncapped_compositions(total, parts, cap)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (total, parts, cap)
+    assert _compositions(3, 4, 3) is _compositions(3, 4, 9)
