@@ -12,17 +12,31 @@ Two independent counting routes are kept apart deliberately:
 The two agree exactly when the ring is normal, and the comparison is itself
 the integer-decomposition test `check_idp`.
 
-One enumerator, `_candidate_blocks`, yields the integer vectors on the
-scaled hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows: the
-whole box for the lattice counts behind h*, the all-positive slice for h*'s
-interior counts and for the interior search, which runs on G with its
-pendant vertices stripped. Every block is tested against one facet kernel:
-the facet normals h of P, h.x >= 0 on every dilation, built once per graph,
-give through one float64 product and a min over facets both the lattice
-points (min >= 0) and the relative-interior points (min > 0) of every
-dilation.
-Counts take a count-only path that caches two integers per dilation and
-never materialises the points, so the window's memory is bounded by a block.
+One enumerator, `_shape_blocks`, yields the integer vectors on the scaled
+hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows. It works
+on a shape, d plus the side sizes when G is bipartite, laid out left side
+first; `_candidate_blocks` places its columns in G's own order, for the
+window and for the interior search, which runs on G with its pendant
+vertices stripped. The box (lo = 0) holds every lattice point of qP, the
+all-positive slice (lo = 1) every relative-interior point. Every block is
+tested against one facet kernel, `_facet_min`: the facet normals h of P,
+h.x >= 0 on every dilation, built once per graph, give through float64
+products and a min over facets both the lattice points (min >= 0) and the
+relative-interior points (min > 0) of every dilation. No product has more
+than `_PRODUCT_MADDS` = 2**18 multiply-adds: with numpy 2.4.6 and
+scipy-openblas 0.3.31 every product shape tried at that size ran on one
+thread, while larger ones could start a second BLAS thread that spins
+against the Python thread, which on two cores cost both CPU time and wall
+time.
+
+h* packs every dilation it reads into one read-only float64 (d, R) stack per
+shape, cached for `_PACKED_SHAPES` shapes, and permutes the columns of G's
+facet matrix to the shape's layout; h.x is a sum over columns, so the counts
+are exact. One `_facet_min` call and one `np.add.reduceat` over the
+dilations' first rows count them all. Dilations that do not fit one block
+stream through the same stacks, so memory stays bounded by a block. The
+window's own counts take a count-only path that caches two integers per
+dilation and never materialises the points.
 
 The h*-vector is the numerator of the Ehrhart series, sum |qP| t^q =
 h*(t) / (1 - t)^(dim + 1). `h_star` reads h* from both ends with one
@@ -43,6 +57,7 @@ codes could leave int64.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -58,6 +73,13 @@ MAX_Q = 15
 ROW_BUDGET = 6_000_000
 # candidate rows per facet-kernel block
 _BLOCK_ROWS = 1 << 16
+# multiply-adds per facet product: in numpy 2.4.6 with scipy-openblas 0.3.31
+# on a 2-vCPU machine, every product shape tried at or under 2**18 ran on one
+# thread, while a larger one can start a second BLAS thread that spins
+# against the Python thread (cpu/wall 1.98 at 30 facets, d = 8, 3,500 rows)
+_PRODUCT_MADDS = 1 << 18
+# shapes whose packed h* stack is cached
+_PACKED_SHAPES = 16
 
 
 class NotNormalError(ValueError):
@@ -158,14 +180,15 @@ def _unpack(codes: np.ndarray, d: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=16384)
 def _facet_matrix(g: Graph) -> np.ndarray:
     """The facet normals h of P, h.x >= 0 on every dilation, as the rows of a
-    matrix H, so one H serves every q."""
+    matrix H, so one H serves every q; h* reads it with its columns permuted
+    to the layout of G's shape, which changes no h.x."""
     fs = edge_polytope(g).facets()
     h = np.array([f.normal for f in fs], dtype=np.int64).reshape(-1, g.d)
-    # the window and h*'s interior slice validate q <= MAX_Q (h* reads the
-    # slice up to q = b <= min(dim + 2, MAX_Q)), and the interior search stops
-    # at q = dim + 1, so with 0 <= x <= max(MAX_Q, dim + 1) every partial sum
-    # of H @ x is an integer of magnitude below 2**53: the float64 product is
-    # exact
+    # the window, the slice count and the packed stacks validate q <= MAX_Q,
+    # and the interior search stops at q = dim + 1, so with
+    # 0 <= x <= max(MAX_Q, dim + 1) every partial sum of H @ x is an integer
+    # of magnitude below 2**53: the float64 product is exact, in any column
+    # order and however the candidates are split between products
     top = max(MAX_Q, edge_polytope(g).dim + 1)
     assert int(np.abs(h).max(initial=0)) * top * g.d < 1 << 53
     out = h.astype(np.float64)
@@ -178,35 +201,57 @@ def _facet_min(h: np.ndarray, cand: np.ndarray) -> np.ndarray:
     candidate row of a dilation qP: >= 0 inside qP, > 0 in its relative
     interior; +inf when P has no facets.
 
-    Evaluated facets-major, one block of rows at a time, so the float64
-    working set is bounded however many candidates there are.
+    Evaluated facets-major, a run of rows at a time, with at most
+    _PRODUCT_MADDS multiply-adds in each product h @ x: the product stays on
+    the calling thread, and the float64 working set is bounded however many
+    candidates there are. Float64 rows, such as the transpose of a packed
+    (d, R) stack, are read in place.
     """
     out = np.empty(len(cand))
-    for s in range(0, len(cand), _BLOCK_ROWS):
-        block = cand[s:s + _BLOCK_ROWS].T.astype(np.float64)
-        np.min(h @ block, axis=0, initial=np.inf, out=out[s:s + _BLOCK_ROWS])
+    step = max(1, _PRODUCT_MADDS // max(h.size, 1))
+    for s in range(0, len(cand), step):
+        block = cand[s:s + step].T.astype(np.float64, copy=False)
+        np.minimum.reduce(h @ block, axis=0, initial=np.inf, out=out[s:s + step])
     return out
+
+
+def _layout(g: Graph) -> tuple[tuple[int, int] | None, np.ndarray]:
+    """(sides, order): the side sizes of G when it is bipartite (None
+    otherwise), and G's columns in the layout of that shape, left side first:
+    coordinate k of the layout is column order[k] of G."""
+    bip = is_bipartite(g)
+    if bip is None:
+        return None, np.arange(g.d)
+    return (len(bip.left), len(bip.right)), np.array([*sorted(bip.left), *sorted(bip.right)]) - 1
 
 
 def _candidate_blocks(g: Graph, q: int, lo: int):
     """Integer vectors with lo <= x_i <= q satisfying the hull equations of
     qP, in blocks of about _BLOCK_ROWS rows: lo = 0 gives every candidate of
-    the window, lo = 1 the all-positive slice of the interior search.
+    the window, lo = 1 the all-positive slice of the interior search."""
+    sides, order = _layout(g)
+    return _shape_blocks(g.d, sides, order, q, lo)
+
+
+def _shape_blocks(d: int, sides: tuple[int, int] | None, cols: np.ndarray, q: int, lo: int):
+    """The candidates of `_candidate_blocks` for a graph on d vertices,
+    bipartite with these side sizes or not (None), with coordinate k of the
+    layout at column cols[k]: G's order gives G's own columns, arange(d) the
+    layout itself.
 
     The hull is sum x = 2q, or sum x = q on each side of a bipartition. A
     bipartite block joins a block of left-side rows with every row of the
     right side, so the left side is split to keep it near _BLOCK_ROWS rows.
     """
-    bip = is_bipartite(g)
-    if bip is None:
-        for block in _composition_blocks(2 * q - lo * g.d, g.d, q - lo, _BLOCK_ROWS):
+    if sides is None:
+        for block in _composition_blocks(2 * q - lo * d, d, q - lo, _BLOCK_ROWS):
             yield block + lo if lo else block
         return
-    left, right = (np.array(sorted(side), dtype=np.intp) - 1 for side in (bip.left, bip.right))
+    left, right = cols[:sides[0]], cols[sides[0]:]
     rcomp = _compositions(q - lo * len(right), len(right), q - lo)
     rows = _BLOCK_ROWS // max(len(rcomp), 1)
     for lcomp in _composition_blocks(q - lo * len(left), len(left), q - lo, rows):
-        block = np.zeros((len(lcomp) * len(rcomp), g.d), dtype=np.int16)
+        block = np.zeros((len(lcomp) * len(rcomp), d), dtype=np.int16)
         block[:, left] = np.repeat(lcomp, len(rcomp), axis=0)
         block[:, right] = np.tile(rcomp, (len(lcomp), 1))
         block += lo
@@ -298,11 +343,82 @@ def _slice_interior_count(g: Graph, q: int) -> int:
     """|relint qP| from the all-positive slice of the candidates, tested
     against G's whole facet matrix: a relative-interior point has every
     coordinate >= 1 (see `min_interior_q`), so the slice holds all of them,
-    and the count is 0 when 2q < d, where the slice is empty."""
+    and the count is 0 when 2q < d, where the slice is empty. h* takes these
+    counts from `_dilation_counts`; this one dilation in G's own columns is
+    their reference."""
     _check_dilation(q)
     h = _facet_matrix(g)
     return sum(int(np.count_nonzero(_facet_min(h, block) > 0))
                for block in _candidate_blocks(g, q, 1))
+
+
+def _stacks(d: int, sides: tuple[int, int] | None, dilations: tuple[tuple[int, int], ...]):
+    """The candidates of the dilations (q, lo), in the layout of the shape,
+    as read-only float64 (d, R) stacks, one candidate per column: consecutive
+    enumerator blocks are joined while they fit _BLOCK_ROWS candidates, so
+    dilations that fit together make one stack. Each stack comes with a floor
+    per candidate, the lo of its dilation (a candidate counts where its facet
+    minimum is >= its floor: h.x is an integer, so >= 1 is > 0), the first
+    candidate of each nonempty part and the index of that part's dilation."""
+    cols = np.arange(d)
+    parts: list[np.ndarray] = []
+    owners: list[int] = []
+    rows = 0
+    for i, (q, lo) in enumerate(dilations):
+        for block in _shape_blocks(d, sides, cols, q, lo):
+            if parts and rows + len(block) > _BLOCK_ROWS:
+                yield _joined(parts, owners, dilations)
+                parts, owners, rows = [], [], 0
+            if len(block):
+                parts.append(block)
+                owners.append(i)
+                rows += len(block)
+    if parts:
+        yield _joined(parts, owners, dilations)
+
+
+def _joined(parts: list[np.ndarray], owners: list[int], dilations) -> tuple[np.ndarray, ...]:
+    """One stack of `_stacks`, from its enumerator blocks and their dilations."""
+    lengths = [len(part) for part in parts]
+    out = (
+        np.ascontiguousarray(np.concatenate(parts).T, dtype=np.float64),
+        np.repeat([float(dilations[i][1]) for i in owners], lengths),
+        np.array([0, *accumulate(lengths[:-1])]),
+        np.array(owners),
+    )
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=_PACKED_SHAPES)
+def _packed(d: int, sides: tuple[int, int] | None,
+            dilations: tuple[tuple[int, int], ...]) -> tuple[tuple[np.ndarray, ...], ...] | None:
+    """`_stacks` as one cached stack when the dilations fit one block of
+    _BLOCK_ROWS rows; None when they do not, and stream."""
+    for q, _ in dilations:
+        _check_dilation(q)
+    if sum(_candidate_rows(d, sides, q, lo) for q, lo in dilations) > _BLOCK_ROWS:
+        return None
+    return tuple(_stacks(d, sides, dilations))
+
+
+def _dilation_counts(g: Graph, dilations: tuple[tuple[int, int], ...]) -> list[int]:
+    """For each dilation (q, lo): |qP| when lo = 0, counted on the box of
+    candidates, and |relint qP| when lo = 1, counted on the all-positive slice,
+    which holds every relative-interior point (see `min_interior_q`).
+
+    The dilations are counted together, by one `_facet_min` call over the
+    packed stack of G's shape, with G's facet matrix permuted to its layout;
+    dilations that do not fit one block stream through the same stacks.
+    """
+    sides, order = _layout(g)
+    h = _facet_matrix(g) if sides is None else _facet_matrix(g)[:, order]
+    stacks = _packed(g.d, sides, dilations)
+    counts = np.zeros(len(dilations), dtype=np.int64)
+    for stack, floor, starts, owners in _stacks(g.d, sides, dilations) if stacks is None else stacks:
+        np.add.at(counts, owners, np.add.reduceat(_facet_min(h, stack.T) >= floor, starts))
+    return counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +563,17 @@ def _split(d: int, dim: int, sides: tuple[int, int] | None) -> tuple[int, int]:
     return a, b
 
 
+@lru_cache(maxsize=None)
+def _signed_binomials(dim: int) -> tuple[int, ...]:
+    """(-1)^j C(dim + 1, j), j = 0..dim + 1: the coefficients of (1 - t)^(dim + 1)."""
+    return tuple((-1) ** j * math.comb(dim + 1, j) for j in range(dim + 2))
+
+
 def _numerator(values: list[int], dim: int) -> list[int]:
     """The coefficients of t^0..t^(len(values) - 1) in (1 - t)^(dim + 1) times
     the series sum values[q] t^q."""
-    return [
-        sum((-1) ** j * math.comb(dim + 1, j) * values[i - j] for j in range(i + 1))
-        for i in range(len(values))
-    ]
+    c = _signed_binomials(dim)
+    return [sum(map(operator.mul, c, values[i::-1])) for i in range(len(values))]
 
 
 def _binom_poly(n: int, k: int) -> int:
@@ -480,7 +600,8 @@ def h_star(g: Graph) -> tuple[int, ...]:
     h*_(dim + 1) down to h*_(dim + 1 - b) off the counts at q <= b. The
     lattice counts scan the whole box of candidates; the interior counts
     scan only its all-positive slice, and are 0 with no scan when 2q < d.
-    `_split` picks (a, b) per shape, with the fewest candidate rows. Every
+    `_dilation_counts` counts them all at once, on the packed stack of G's
+    shape. `_split` picks (a, b) per shape, with the fewest candidate rows. Every
     index both ends name must agree, and every index outside 0..dim must be
     0: a + b + 1 - dim = 4 equations beyond the dim + 1 entries; a failure
     raises InvariantViolationError. h*_0 = 1 and nonnegativity are enforced
@@ -498,12 +619,11 @@ def h_star(g: Graph) -> tuple[int, ...]:
         raise BudgetExceededError(
             f"enumeration of {cost} candidate rows exceeds the budget {budget}"
         )
-    bip = is_bipartite(g)
-    a, b = _split(g.d, dim, None if bip is None else (len(bip.left), len(bip.right)))
-    low = _numerator([lattice_count(g, q) for q in range(a + 1)], dim)
-    high = _numerator(
-        [_slice_interior_count(g, q) if 2 * q >= g.d else 0 for q in range(b + 1)], dim
-    )
+    a, b = _split(g.d, dim, _layout(g)[0])
+    dilations = (*((q, 0) for q in range(a + 1)), *((q, 1) for q in range((g.d + 1) // 2, b + 1)))
+    counts = dict(zip(dilations, _dilation_counts(g, dilations)))
+    low = _numerator([counts[q, 0] for q in range(a + 1)], dim)
+    high = _numerator([counts.get((q, 1), 0) for q in range(b + 1)], dim)
     h: list[int | None] = [None] * (dim + 1)
     for i, x in [*enumerate(low), *((dim + 1 - k, x) for k, x in enumerate(high))]:
         want = h[i] if 0 <= i <= dim else 0

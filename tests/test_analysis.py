@@ -21,6 +21,7 @@ from edgering.graphs import (
     cycle_graph,
     two_triangles_path,
 )
+from edgering.matching import maximum_matching
 from edgering.polytope import InvariantViolationError
 
 
@@ -47,6 +48,15 @@ def test_analyze_two_triangles():
     assert r.verdict == "not-applicable"
     assert r.generator_profile is not None
     assert r.generator_profile.degrees == (5,)
+
+
+def test_analyze_computes_one_maximum_matching():
+    # mat and the edge cover are read off one matching
+    maximum_matching.cache_clear()
+    r = analyze(complete_bipartite_graph(3, 4))
+    assert (r.mat, r.cover_size) == (3, 4)
+    info = maximum_matching.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_analyze_nonnormal_without_toric_leaves_reg_unknown():

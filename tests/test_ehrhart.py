@@ -231,9 +231,9 @@ def test_window_matches_brute_force_box_scan():
 
 def test_reciprocity_failure_is_an_invariant_violation(monkeypatch):
     # C4 (d = 4) reads its interior counts from the slice at q = 2..4
-    real = edgering.ehrhart._slice_interior_count
-    monkeypatch.setattr(edgering.ehrhart, "_slice_interior_count",
-                        lambda g, q: real(g, q) + (q == 2))
+    real = edgering.ehrhart._dilation_counts
+    monkeypatch.setattr(edgering.ehrhart, "_dilation_counts", lambda g, dilations: [
+        c + ((q, lo) == (2, 1)) for c, (q, lo) in zip(real(g, dilations), dilations)])
     with pytest.raises(InvariantViolationError, match="reciprocity"):
         h_star(cycle_graph(4))
 
@@ -437,51 +437,73 @@ def _read_counts(g):
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), complete_bipartite_graph(3, 3),
                                cycle_graph(7)], ids=["K4", "C5", "K33", "C7"])
 def test_h_star_counts_only_the_half_window(monkeypatch, g):
-    # h* scans the box only at q = 1..a and the all-positive slice only at
-    # q = ceil(d/2)..b, with a + b + 1 - dim = 4 spare equations
-    windows, blocks = [], []
-    real_window, real_blocks = edgering.ehrhart._window, edgering.ehrhart._candidate_blocks
+    # h* asks the packed kernel for the box at q = 0..a and the all-positive
+    # slice at q = ceil(d/2)..b, with a + b + 1 - dim = 4 spare equations; the
+    # enumerator builds exactly those dilations once per shape, and no
+    # per-dilation window runs
+    asked, built = [], []
+    real_counts, real_blocks = edgering.ehrhart._dilation_counts, edgering.ehrhart._shape_blocks
+
+    def dilation_counts(graph, dilations):
+        asked.append(dilations)
+        return real_counts(graph, dilations)
+
+    def shape_blocks(d, sides, cols, q, lo):
+        built.append((q, lo))
+        return real_blocks(d, sides, cols, q, lo)
 
     def window(graph, q):
-        windows.append(q)
-        return real_window(graph, q)
+        raise AssertionError("h* ran a per-dilation window")
 
-    def candidate_blocks(graph, q, lo):
-        blocks.append((q, lo))
-        return real_blocks(graph, q, lo)
-
+    monkeypatch.setattr(edgering.ehrhart, "_dilation_counts", dilation_counts)
+    monkeypatch.setattr(edgering.ehrhart, "_shape_blocks", shape_blocks)
     monkeypatch.setattr(edgering.ehrhart, "_window", window)
-    monkeypatch.setattr(edgering.ehrhart, "_candidate_blocks", candidate_blocks)
-    edgering.ehrhart._window_counts.cache_clear()
+    edgering.ehrhart._packed.cache_clear()
     dim = edge_polytope(g).dim
     lattice, interior = _read_counts(g)
     assert lattice[-1] + interior[-1] + 1 - dim == 4
+    read = [(q, 0) for q in lattice] + [(q, 1) for q in interior]
     h_star(g)
-    assert sorted(set(windows)) == lattice
-    assert sorted(set(blocks)) == [(q, 0) for q in lattice[1:]] + [(q, 1) for q in interior]
+    h_star(g)
+    assert asked == [tuple(read)] * 2
+    assert built == read
     assert max(lattice) < (dim + 1) // 2 + 2  # the box at fewer than ceil(dim/2) + 2 dilations
+
+
+def _relabelled(g, perm):
+    """g with vertex v renamed perm[v - 1]."""
+    return Graph.of(g.d, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+
+
+# C6 as the cycle 1-3-2-4-5-6: sides {1, 2, 5} and {3, 4, 6}, so its layout
+# moves columns
+C6_RELABELLED = Graph.of(6, [(1, 3), (2, 3), (2, 4), (4, 5), (5, 6), (1, 6)])
 
 
 def _single_faults():
     # every count up to dim + 2, read by h_star or not
     for name, g in [("C4", cycle_graph(4)), ("K4", complete_graph(4)),
-                    ("K33", complete_bipartite_graph(3, 3)), ("C7", cycle_graph(7))]:
+                    ("K33", complete_bipartite_graph(3, 3)), ("C7", cycle_graph(7)),
+                    ("C6r", C6_RELABELLED)]:
         top = edge_polytope(g).dim + 2
         for q in range(top + 1):
-            yield pytest.param(g, "lattice_count", q, id=f"{name}-lattice-{q}")
+            yield pytest.param(g, 0, q, id=f"{name}-lattice-{q}")
         for q in range(1, top + 1):
-            yield pytest.param(g, "_slice_interior_count", q, id=f"{name}-interior-{q}")
+            yield pytest.param(g, 1, q, id=f"{name}-interior-{q}")
 
 
-@pytest.mark.parametrize("g, count, fault_q", _single_faults())
-def test_single_count_fault_breaks_reciprocity(monkeypatch, g, count, fault_q):
+@pytest.mark.parametrize("g, lo, fault_q", _single_faults())
+def test_single_count_fault_breaks_reciprocity(monkeypatch, g, lo, fault_q):
     # a +1 fault in any count h_star reads breaks reciprocity; a fault in a
-    # count it does not read leaves h* as it is
+    # count it does not read leaves h* as it is. The fault is planted in the
+    # packed counts: the lattice count (lo = 0) or the slice's interior count
+    # (lo = 1) at q = fault_q
     expected = h_star(g)
     lattice, interior = _read_counts(g)
-    real = getattr(edgering.ehrhart, count)
-    monkeypatch.setattr(edgering.ehrhart, count, lambda graph, q: real(graph, q) + (q == fault_q))
-    if fault_q in (lattice if count == "lattice_count" else interior):
+    real = edgering.ehrhart._dilation_counts
+    monkeypatch.setattr(edgering.ehrhart, "_dilation_counts", lambda graph, dilations: [
+        c + (dil == (fault_q, lo)) for c, dil in zip(real(graph, dilations), dilations)])
+    if fault_q in (interior if lo else lattice):
         with pytest.raises(InvariantViolationError, match="reciprocity"):
             h_star(g)
     else:
@@ -529,3 +551,87 @@ def test_compositions_match_uncapped_recursion():
                 want = uncapped_compositions(total, parts, cap)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (total, parts, cap)
     assert _compositions(3, 4, 3) is _compositions(3, 4, 9)
+
+
+def _packed_count_graphs():
+    small = [g for n in range(2, 7) for g in connected_graphs(n) if is_normal(g)]
+    larger = [cycle_graph(7), complete_bipartite_graph(3, 4), path_graph(8)]
+    rng = np.random.default_rng(7)
+    relabelled = [C6_RELABELLED] + [
+        _relabelled(g, [int(v) + 1 for v in rng.permutation(g.d)])
+        for g in (complete_bipartite_graph(2, 3), complete_bipartite_graph(3, 4), path_graph(6),
+                  cycle_graph(8), attach_path(complete_bipartite_graph(2, 2), 1, 3))
+        for _ in range(2)
+    ]
+    return small + larger + relabelled
+
+
+@pytest.mark.parametrize("block_rows", [edgering.ehrhart._BLOCK_ROWS, 50], ids=["real", "small"])
+def test_packed_counts_match_per_dilation_counts(monkeypatch, block_rows):
+    # every lattice count and slice count up to dim + 2, from one call of the
+    # packed kernel, against the per-dilation window and slice in G's own
+    # columns. path(8)'s dilations do not fit one real block and stream;
+    # fifty-row blocks make most graphs stream and join the blocks of several
+    # dilations into one stack
+    monkeypatch.setattr(edgering.ehrhart, "_BLOCK_ROWS", block_rows)
+    edgering.ehrhart._packed.cache_clear()
+    streamed = 0
+    for g in _packed_count_graphs():
+        top = edge_polytope(g).dim + 2
+        dilations = (*((q, 0) for q in range(top + 1)), *((q, 1) for q in range(1, top + 1)))
+        want = [lattice_count(g, q) for q in range(top + 1)]
+        want += [_slice_interior_count(g, q) for q in range(1, top + 1)]
+        assert edgering.ehrhart._dilation_counts(g, dilations) == want, g
+        streamed += edgering.ehrhart._packed(g.d, edgering.ehrhart._layout(g)[0], dilations) is None
+    assert streamed >= 1
+    edgering.ehrhart._packed.cache_clear()
+
+
+def test_facet_products_stay_under_the_thread_bound(monkeypatch):
+    # every product h @ x the kernel issues, over the h* of d = 8 graphs and
+    # over cycle(11)'s interior search, has at most 2**18 multiply-adds; the
+    # products of one h* cover its packed candidates once
+    bound = 1 << 18
+    products = []
+
+    class Recorded(np.ndarray):
+        def __matmul__(self, other):
+            products.append((*self.shape, other.shape[1]))
+            return np.asarray(self) @ other
+
+    real = edgering.ehrhart._facet_matrix
+    monkeypatch.setattr(edgering.ehrhart, "_facet_matrix", lambda g: real(g).view(Recorded))
+    # the normal 8-vertex graph with the most facets, 29
+    most = Graph.of(8, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 7), (3, 8), (4, 5), (4, 6),
+                        (5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)])
+    issued = []
+    for g in (most, complete_graph(8), complete_bipartite_graph(4, 4)):
+        products.clear()
+        h_star(g)
+        issued.append(len(products))
+        bip = is_bipartite(g)
+        sides = None if bip is None else (len(bip.left), len(bip.right))
+        a, b = _split(g.d, edge_polytope(g).dim, sides)
+        rows = sum(edgering.ehrhart._candidate_rows(g.d, sides, q, 0) for q in range(a + 1))
+        rows += sum(edgering.ehrhart._candidate_rows(g.d, sides, q, 1) for q in range(4, b + 1))
+        assert sum(r for _, _, r in products) == rows
+        assert all(f * d * r <= bound for f, d, r in products)
+    # 29 facets * 8 columns * 3,806 candidates takes four products
+    assert real(most).shape[0] == 29 and issued[0] == 4
+    products.clear()
+    assert min_interior_q(cycle_graph(11)) == 11
+    assert len(products) > 100
+    assert all(f * d * r <= bound for f, d, r in products)
+
+
+def test_packed_stack_cache_is_bounded():
+    # h* over every normal graph with n <= 7 passes through more shapes than
+    # the stack cache holds; it keeps at most _PACKED_SHAPES stacks
+    edgering.ehrhart._packed.cache_clear()
+    for n in range(2, 8):
+        for g in connected_graphs(n):
+            if is_normal(g):
+                h_star(g)
+    info = edgering.ehrhart._packed.cache_info()
+    assert info.maxsize == edgering.ehrhart._PACKED_SHAPES
+    assert info.misses > info.maxsize >= info.currsize
