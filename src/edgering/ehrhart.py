@@ -64,7 +64,14 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graphs import Graph, adjacency, induced_subgraph, is_bipartite
+from .graphs import (
+    Graph,
+    induced_subgraph,
+    is_bipartite,
+    mask_vertices,
+    neighbour_masks,
+    vertex_mask,
+)
 from .normality import is_normal
 from .polytope import InvariantViolationError, edge_polytope
 
@@ -258,6 +265,12 @@ def _shape_blocks(d: int, sides: tuple[int, int] | None, cols: np.ndarray, q: in
         yield block
 
 
+def _sides(g: Graph) -> tuple[int, int] | None:
+    """The side sizes of G when it is bipartite, None otherwise."""
+    bip = is_bipartite(g)
+    return None if bip is None else (len(bip.left), len(bip.right))
+
+
 def window_row_cost(g: Graph, q_max: int) -> int:
     """Candidate rows of the whole box of candidates up to q_max: exact for
     bipartite G, else an upper bound that ignores the cap q (6 at d = 3,
@@ -266,15 +279,19 @@ def window_row_cost(g: Graph, q_max: int) -> int:
     This is the row budget's gate. `h_star` reads it at q_max = dim + 2, the
     full window, not at the far fewer rows it evaluates, so that h* is
     skipped on exactly the graphs where the full window skipped it."""
-    bip = is_bipartite(g)
+    return _shape_row_cost(g.d, _sides(g), q_max)
+
+
+@lru_cache(maxsize=None)
+def _shape_row_cost(d: int, sides: tuple[int, int] | None, q_max: int) -> int:
+    """`window_row_cost` of every graph on d vertices, bipartite with these
+    side sizes or not (None)."""
     total = 0
     for q in range(1, q_max + 1):
-        if bip is None:
-            total += math.comb(2 * q + g.d - 1, g.d - 1)
+        if sides is None:
+            total += math.comb(2 * q + d - 1, d - 1)
         else:
-            total += math.comb(q + len(bip.left) - 1, len(bip.left) - 1) * math.comb(
-                q + len(bip.right) - 1, len(bip.right) - 1
-            )
+            total += math.prod(math.comb(q + s - 1, s - 1) for s in sides)
     return total
 
 
@@ -476,18 +493,19 @@ def _leaf_core(g: Graph) -> tuple[int, ...]:
     """The vertices left, sorted, after deleting degree-1 vertices one at a
     time while more than two vertices remain: every vertex off a pendant tree
     of a connected G, or the two ends of one edge when G is a tree."""
-    adj = adjacency(g)
-    degree = [len(nbrs) for nbrs in adj]
-    kept = set(g.vertices())
-    leaves = [v for v in kept if degree[v] == 1]
-    while leaves and len(kept) > 2:
+    nb = neighbour_masks(g)
+    degree = [m.bit_count() for m in nb]
+    kept, left = vertex_mask(g), g.d
+    leaves = [v for v in g.vertices() if degree[v] == 1]
+    while leaves and left > 2:
         v = leaves.pop()
-        kept.discard(v)
-        (u,) = adj[v] & kept
+        kept ^= 1 << v
+        left -= 1
+        u = (nb[v] & kept).bit_length() - 1
         degree[u] -= 1
         if degree[u] == 1:
             leaves.append(u)
-    return tuple(sorted(kept))
+    return tuple(mask_vertices(kept))
 
 
 def min_interior_q(g: Graph) -> int:
@@ -614,12 +632,13 @@ def h_star(g: Graph) -> tuple[int, ...]:
     if not is_normal(g):
         raise NotNormalError("h* is computed for normal edge rings only")
     dim = edge_polytope(g).dim
-    cost, budget = window_row_cost(g, dim + 2), ROW_BUDGET
+    sides = _sides(g)
+    cost, budget = _shape_row_cost(g.d, sides, dim + 2), ROW_BUDGET
     if cost > budget:
         raise BudgetExceededError(
             f"enumeration of {cost} candidate rows exceeds the budget {budget}"
         )
-    a, b = _split(g.d, dim, _layout(g)[0])
+    a, b = _split(g.d, dim, sides)
     dilations = (*((q, 0) for q in range(a + 1)), *((q, 1) for q in range((g.d + 1) // 2, b + 1)))
     counts = dict(zip(dilations, _dilation_counts(g, dilations)))
     low = _numerator([counts[q, 0] for q in range(a + 1)], dim)

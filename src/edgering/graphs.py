@@ -1,13 +1,21 @@
 """Finite simple graphs on vertices 1..d: parsing, families, structure queries.
 
 Graphs are immutable values; every operation in this module is pure, so
-instances can be shared freely across workers.
+instances can be shared freely across workers. A `Graph` hashes its
+`(d, edges)` once, when it is built, so the cached layers look it up at the
+cost of reading one field.
+
+Every structure query reads one form of the graph, `neighbour_masks(g)`: a
+tuple of Python ints with bit v set in entry u when {u, v} is an edge (index
+0 and bit 0 unused). A vertex set is a mask in the same bits. Components and
+2-colorings are one layered flood fill, `coloured_components`, inside a
+vertex mask, so callers can ask them of an induced subgraph without building
+it; `is_connected` is a plain flood fill from vertex 1.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -31,12 +39,19 @@ def _norm_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph: vertex set {1, ..., d}, sorted edge tuple."""
 
     d: int
     edges: tuple[tuple[int, int], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.d, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(d: int, edges) -> "Graph":
@@ -61,13 +76,59 @@ class Graph:
 
 
 @lru_cache(maxsize=65536)
-def adjacency(g: Graph) -> tuple[frozenset[int], ...]:
-    """Neighbor sets indexed by vertex (index 0 unused)."""
-    adj: list[set[int]] = [set() for _ in range(g.d + 1)]
+def neighbour_masks(g: Graph) -> tuple[int, ...]:
+    """Neighbour bitmask of each vertex: bit v of entry u is set when {u, v}
+    is an edge (index 0 and bit 0 unused)."""
+    nb = [0] * (g.d + 1)
     for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return tuple(frozenset(s) for s in adj)
+        nb[i] |= 1 << j
+        nb[j] |= 1 << i
+    return tuple(nb)
+
+
+def vertex_mask(g: Graph) -> int:
+    """The mask of the whole vertex set, bits 1..d."""
+    return (1 << (g.d + 1)) - 2
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def neighbourhood(nb: tuple[int, ...], mask: int) -> int:
+    """The union of the neighbour masks of the vertices in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= nb[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def coloured_components(nb: tuple[int, ...], inside: int):
+    """The components of the subgraph induced on the vertex mask `inside`,
+    in order of least vertex, each as (component, left): left holds the even
+    BFS layers from that least vertex, or is None when an edge joins two
+    vertices of one layer, that is when the component has an odd cycle."""
+    while inside:
+        layer = seen = inside & -inside
+        left, even, odd = 0, True, False
+        while layer:
+            if even:
+                left |= layer
+            grow = neighbourhood(nb, layer) & inside
+            odd = odd or bool(grow & layer)
+            layer = grow & ~seen
+            seen |= layer
+            even = not even
+        yield seen, None if odd else left
+        inside &= ~seen
 
 
 def parse_graph(text: str) -> Graph:
@@ -137,45 +198,19 @@ def is_bipartite(g: Graph) -> Bipartition | None:
     Disconnected input is allowed; each component is colored with its minimum
     vertex on the left side, and sides are merged across components.
     """
-    adj = adjacency(g)
-    color: dict[int, int] = {}
-    for root in g.vertices():
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in color:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    left = frozenset(v for v, c in color.items() if c == 0)
-    right = frozenset(v for v, c in color.items() if c == 1)
-    return Bipartition(left, right)
+    left = 0
+    for _, part in coloured_components(neighbour_masks(g), vertex_mask(g)):
+        if part is None:
+            return None
+        left |= part
+    right = vertex_mask(g) & ~left
+    return Bipartition(frozenset(mask_vertices(left)), frozenset(mask_vertices(right)))
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of the vertex set into components, ordered by minimum vertex."""
-    adj = adjacency(g)
-    seen: set[int] = set()
-    parts: list[frozenset[int]] = []
-    for root in g.vertices():
-        if root in seen:
-            continue
-        comp = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        seen |= comp
-        parts.append(frozenset(comp))
-    return parts
+    return [frozenset(mask_vertices(comp))
+            for comp, _ in coloured_components(neighbour_masks(g), vertex_mask(g))]
 
 
 def is_connected(g: Graph) -> bool:
@@ -183,7 +218,12 @@ def is_connected(g: Graph) -> bool:
     # first keeps a huge vertex count with few edges from allocating anything
     if g.m < g.d - 1:
         return False
-    return len(connected_components(g)) == 1
+    nb = neighbour_masks(g)
+    seen = frontier = 1 << 1  # a flood fill from vertex 1
+    while frontier:
+        frontier = neighbourhood(nb, frontier) & ~seen
+        seen |= frontier
+    return seen == vertex_mask(g)
 
 
 def induced_subgraph(g: Graph, w) -> tuple[Graph, tuple[int, ...]]:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, InvariantViolationError, adjacency
+from .graphs import Graph, InvariantViolationError, neighbour_masks
 
 
 class IsolatedVertexError(ValueError):
@@ -164,9 +164,9 @@ def matching_number(g: Graph) -> int:
 
 def min_edge_cover(g: Graph) -> EdgeCover:
     """A minimum edge cover: a maximum matching plus a pendant edge per exposed vertex."""
-    adj = adjacency(g)
+    nb = neighbour_masks(g)
     for v in g.vertices():
-        if not adj[v]:
+        if not nb[v]:
             raise IsolatedVertexError(f"vertex {v} is isolated, no edge cover exists")
     matched = maximum_matching(g)
     covered: set[int] = set()
@@ -175,7 +175,7 @@ def min_edge_cover(g: Graph) -> EdgeCover:
         covered.update((i, j))
     for v in g.vertices():
         if v not in covered:
-            u = min(adj[v])
+            u = (nb[v] & -nb[v]).bit_length() - 1  # the least neighbour
             edges.add((min(v, u), max(v, u)))
     cover = EdgeCover(frozenset(edges))
     if len(cover) != g.d - len(matched):

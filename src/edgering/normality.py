@@ -5,13 +5,26 @@ contains a chordless one on a subset of its vertices, and requiring a
 bridging edge for all disjoint chordless pairs is the standard reduction.
 Tests cross-check this predicate against the integer-decomposition detector
 on every small graph.
+
+Both steps run on the graph's neighbour bitmasks (`graphs.neighbour_masks`):
+the cycle search carries one mask of blocked vertices, and two cycles are
+disjoint and unbridged when one's vertex mask misses the other's closed
+neighbourhood.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, NotConnectedError, adjacency, is_bipartite, is_connected
+from .graphs import (
+    Graph,
+    NotConnectedError,
+    is_bipartite,
+    is_connected,
+    mask_vertices,
+    neighbour_masks,
+    neighbourhood,
+)
 
 
 def chordless_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -19,35 +32,35 @@ def chordless_cycles(g: Graph) -> list[tuple[int, ...]]:
 
     Each cycle is reported as a vertex tuple starting at its minimum vertex,
     oriented so the second vertex is smaller than the last.
+
+    A depth-first search from each start s grows chordless paths above s.
+    It carries one mask, `blocked`: the vertices up to s, the path, and the
+    neighbours of the path's internal vertices. The path's last vertex may
+    go on to any neighbour outside it, which touches only its predecessor.
     """
-    adj = adjacency(g)
+    nb = neighbour_masks(g)
     cycles: list[tuple[int, ...]] = []
 
-    def extend(path: list[int], on_path: set[int]) -> None:
-        s = path[0]
-        last = path[-1]
-        internal = path[1:-1]
-        for x in sorted(adj[last]):
-            if x <= s or x in on_path:
-                continue
-            # chordlessness: the new vertex may only touch its predecessor
-            if any(x in adj[p] for p in internal):
-                continue
-            if s in adj[x]:
+    def extend(path: list[int], blocked: int) -> None:
+        start, last = 1 << path[0], path[-1]
+        grow = nb[last] & ~blocked
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            x = low.bit_length() - 1
+            if nb[x] & start:
                 if path[1] < x:
-                    cycles.append(tuple(path) + (x,))
+                    cycles.append((*path, x))
                 # extending past x would leave the chord {s, x} in any larger cycle
                 continue
             path.append(x)
-            on_path.add(x)
-            extend(path, on_path)
+            extend(path, blocked | low | nb[last])
             path.pop()
-            on_path.remove(x)
 
     for s in g.vertices():
-        for u in sorted(adj[s]):
-            if u > s:
-                extend([s, u], {s, u})
+        below = (2 << s) - 1
+        for u in mask_vertices(nb[s] & ~below):
+            extend([s, u], below | 1 << u)
     return sorted(cycles)
 
 
@@ -57,19 +70,18 @@ def enumerate_minimal_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
 
 
 def satisfies_odd_cycle_condition(g: Graph) -> bool:
-    """True iff every pair of vertex-disjoint chordless odd cycles is bridged by an edge."""
+    """True iff every pair of vertex-disjoint chordless odd cycles is bridged by an edge.
+
+    Cycle b is disjoint from cycle a and unbridged to it exactly when b's
+    vertex mask misses a's closed neighbourhood."""
     if not is_connected(g):
         raise NotConnectedError("odd cycle condition is defined for connected graphs")
-    cycles = enumerate_minimal_odd_cycles(g)
-    adj = adjacency(g)
-    for a in range(len(cycles)):
-        ca = set(cycles[a])
-        for b in range(a + 1, len(cycles)):
-            cb = set(cycles[b])
-            if ca & cb:
-                continue
-            if not any(u in adj[v] for v in ca for u in cb):
-                return False
+    nb = neighbour_masks(g)
+    masks = [sum(1 << v for v in c) for c in enumerate_minimal_odd_cycles(g)]
+    for a, ma in enumerate(masks):
+        closed = ma | neighbourhood(nb, ma)
+        if any(not mb & closed for mb in masks[a + 1:]):
+            return False
     return True
 
 

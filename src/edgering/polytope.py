@@ -36,11 +36,13 @@ from .graphs import (
     Graph,
     InvariantViolationError,
     NotConnectedError,
-    adjacency,
-    connected_components,
-    induced_subgraph,
+    coloured_components,
     is_bipartite,
     is_connected,
+    mask_vertices,
+    neighbour_masks,
+    neighbourhood,
+    vertex_mask,
 )
 
 
@@ -209,14 +211,17 @@ def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
 # Graph-side facet prediction
 # ---------------------------------------------------------------------------
 
-def _bipartite_parts(g: Graph, removed) -> list[bool]:
-    """Whether each component of g minus the removed vertices is bipartite."""
-    rest = [v for v in g.vertices() if v not in removed]
-    if not rest:
-        return []
-    sub, _ = induced_subgraph(g, rest)
-    comps = connected_components(sub)
-    return [is_bipartite(induced_subgraph(sub, c)[0]) is not None for c in comps]
+def _linked(nb: tuple[int, ...], t: int) -> bool:
+    """Whether the edges at the independent vertex mask t connect t and its
+    neighbourhood N(t). Every vertex of N(t) lies on such an edge, so they do
+    exactly when a flood fill over t, two steps at a time through shared
+    neighbours, reaches all of t."""
+    reach = t & -t
+    while True:
+        grow = reach | neighbourhood(nb, neighbourhood(nb, reach)) & t
+        if grow == reach:
+            return reach == t
+        reach = grow
 
 
 def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
@@ -242,37 +247,33 @@ def predicted_facets(g: Graph) -> tuple[FacetInequality, ...]:
         f = canonical_inequality(p, normal, provenance)
         found.setdefault(f.normal, f)
 
-    def admissible(removed) -> bool:
-        parts = _bipartite_parts(g, removed)
+    nb = neighbour_masks(g)
+    everything = vertex_mask(g)
+
+    def admissible(removed: int) -> bool:
+        # whether each component of g minus the removed vertices is bipartite
+        parts = [left is not None for _, left in coloured_components(nb, everything & ~removed)]
         return not any(parts) if bip is None else len(parts) == 1
 
     for i in g.vertices():
-        if admissible({i}):
+        if admissible(1 << i):
             normal = [0] * g.d
             normal[i - 1] = 1
             record(normal, f"coordinate({i})")
 
-    adj = adjacency(g)
-    for mask in range(1, 1 << g.d):
-        t = frozenset(v for v in g.vertices() if mask >> (v - 1) & 1)
-        nbhd = frozenset(u for v in t for u in adj[v])
+    for t in range(2, everything + 1, 2):
+        nbhd = neighbourhood(nb, t)
         if t & nbhd:  # T is not independent
             continue
-        # every vertex outside T and N(T) is isolated in the graph of the
-        # edges at T, so those edges connect T and N(T) exactly when it has
-        # one more component than there are such vertices
-        touched = Graph(g.d, tuple(e for e in g.edges if e[0] in t or e[1] in t))
-        if len(connected_components(touched)) != g.d - len(t | nbhd) + 1:
-            continue
-        if not admissible(t | nbhd):
+        if not _linked(nb, t) or not admissible(t | nbhd):
             continue
         normal = [0] * g.d
-        for v in nbhd:
+        for v in mask_vertices(nbhd):
             normal[v - 1] = 1
-        for v in t:
+        for v in mask_vertices(t):
             normal[v - 1] = -1
         kind = "fundamental" if bip is None else "acceptable"
-        record(normal, f"{kind}({sorted(t)},{sorted(nbhd)})")
+        record(normal, f"{kind}({mask_vertices(t)},{mask_vertices(nbhd)})")
 
     return tuple(sorted(found.values(), key=lambda f: f.normal))
 

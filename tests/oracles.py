@@ -10,14 +10,17 @@ grouping edge multisets in a dict, generator counts by exact linear algebra
 and fiber by fiber with a search of each gcd graph, labeled connected-graph
 counts by the classical recurrence, stable colors one vertex at a time on
 bit masks, automorphisms over all n! permutations, and connected graphs by
-canonicalising every child of every parent one at a time. The rational
-elimination helpers are standalone so the rational oracles share nothing with
-the package implementation.
+canonicalising every child of every parent one at a time, components and
+2-colorings by breadth-first search over neighbour sets, and the odd cycle
+condition pair by pair over vertex sets. The rational elimination helpers are
+standalone so the rational oracles share nothing with the package
+implementation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -26,7 +29,7 @@ import numpy as np
 
 from edgering.ehrhart import _candidate_blocks, _facet_matrix, _facet_min
 from edgering.enumeration import canonical_bits, edge_slots
-from edgering.graphs import Graph, adjacency
+from edgering.graphs import Bipartition, Graph
 from edgering.polytope import edge_polytope
 
 
@@ -93,8 +96,73 @@ def brute_edge_cover_number(g: Graph) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Cycles
+# Neighbour sets: components, 2-colorings, cycles
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=65536)
+def adjacency(g: Graph) -> tuple[frozenset[int], ...]:
+    """Neighbor sets indexed by vertex (index 0 unused)."""
+    adj: list[set[int]] = [set() for _ in range(g.d + 1)]
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return tuple(frozenset(s) for s in adj)
+
+
+def bfs_components(g: Graph) -> list[frozenset[int]]:
+    """Components by breadth-first search, ordered by minimum vertex."""
+    adj = adjacency(g)
+    seen: set[int] = set()
+    parts: list[frozenset[int]] = []
+    for root in g.vertices():
+        if root in seen:
+            continue
+        comp = {root}
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if u not in comp:
+                    comp.add(u)
+                    queue.append(u)
+        seen |= comp
+        parts.append(frozenset(comp))
+    return parts
+
+
+def bfs_bipartition(g: Graph) -> Bipartition | None:
+    """2-coloring by breadth-first search: each component's minimum vertex on
+    the left, sides merged across components; None on an odd cycle."""
+    adj = adjacency(g)
+    color: dict[int, int] = {}
+    for root in g.vertices():
+        if root in color:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if u not in color:
+                    color[u] = 1 - color[v]
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    return None
+    left = frozenset(v for v, c in color.items() if c == 0)
+    right = frozenset(v for v, c in color.items() if c == 1)
+    return Bipartition(left, right)
+
+
+def pairwise_odd_cycle_condition(g: Graph, odd_cycles) -> bool:
+    """Every two vertex-disjoint cycles of `odd_cycles` are joined by an
+    edge, checked pair by pair over vertex sets."""
+    adj = adjacency(g)
+    for a, b in combinations(odd_cycles, 2):
+        ca, cb = set(a), set(b)
+        if not ca & cb and not any(u in adj[v] for v in ca for u in cb):
+            return False
+    return True
+
 
 def all_cycles(g: Graph) -> list[tuple[int, ...]]:
     """Every simple cycle, one representative per rotation/reflection."""

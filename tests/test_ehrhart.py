@@ -29,7 +29,6 @@ from edgering.ehrhart import (
 from edgering.enumeration import connected_graphs
 from edgering.graphs import (
     Graph,
-    adjacency,
     attach_path,
     complete_bipartite_graph,
     complete_graph,
@@ -44,6 +43,7 @@ from edgering.normality import is_normal
 from edgering.polytope import InvariantViolationError, contains, edge_polytope
 from edgering.toric import fibers
 from oracles import (
+    adjacency,
     brute_window,
     hstar_from_counts,
     multidegree_classes,

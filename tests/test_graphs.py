@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,7 +8,6 @@ import edgering.graphs
 from edgering.graphs import (
     Graph,
     GraphParseError,
-    adjacency,
     attach_path,
     complete_bipartite_graph,
     complete_graph,
@@ -22,7 +23,7 @@ from edgering.graphs import (
     star_graph,
     two_triangles_path,
 )
-from oracles import has_odd_cycle
+from oracles import adjacency, bfs_bipartition, bfs_components, has_odd_cycle
 
 
 def test_parse_triangle():
@@ -115,13 +116,45 @@ def test_components():
 
 def test_too_few_edges_is_not_connected_before_any_adjacency(monkeypatch):
     # d vertices need d - 1 edges to be connected; a huge vertex count with
-    # few edges is refused before one set per vertex is built
+    # few edges is refused before one mask per vertex is built
     def refuse(g):
-        raise AssertionError("adjacency was built")
+        raise AssertionError("neighbour masks were built")
 
-    monkeypatch.setattr(edgering.graphs, "adjacency", refuse)
+    monkeypatch.setattr(edgering.graphs, "neighbour_masks", refuse)
     assert is_connected(Graph(10**9, ())) is False
     assert is_connected(Graph(4, ((1, 2), (3, 4)))) is False
+
+
+def k5_subgraphs():
+    """Every edge subset of K5 on its 5 vertices, disconnected ones included,
+    and a relabelled copy of each."""
+    rng = random.Random(19)
+    pool = complete_graph(5).edges
+    for mask in range(1 << len(pool)):
+        g = Graph.of(5, [pool[k] for k in range(len(pool)) if mask >> k & 1])
+        perm = rng.sample(range(1, 6), 5)
+        yield g
+        yield Graph.of(5, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+
+
+def test_mask_queries_against_bfs_oracles():
+    for g in k5_subgraphs():
+        assert connected_components(g) == bfs_components(g)
+        assert is_bipartite(g) == bfs_bipartition(g)
+        assert is_connected(g) == (len(bfs_components(g)) == 1)
+
+
+def test_graph_value_semantics():
+    g = two_triangles_path(2)
+    same = Graph.of(g.d, reversed(g.edges))
+    assert same == g and same is not g and hash(same) == hash(g) == hash((g.d, g.edges))
+    assert g != Graph.of(g.d, g.edges[1:]) and g != Graph(g.d + 1, g.edges)
+    assert repr(Graph(3, ((1, 2),))) == "Graph(d=3, edges=((1, 2),))"
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert twin == g and hash(twin) == hash(g)
+        assert {twin: 1}[g] == 1
+    with pytest.raises(AttributeError):
+        g.d = 4
 
 
 def connected_components_probe() -> Graph:

@@ -5,7 +5,6 @@ from edgering.enumeration import connected_graphs
 from edgering.graphs import (
     Graph,
     NotConnectedError,
-    adjacency,
     complete_graph,
     cycle_graph,
     star_graph,
@@ -17,7 +16,7 @@ from edgering.normality import (
     is_normal,
     satisfies_odd_cycle_condition,
 )
-from oracles import all_cycles
+from oracles import adjacency, all_cycles, pairwise_odd_cycle_condition
 
 
 def test_odd_cycle_enumeration_examples():
@@ -37,10 +36,17 @@ def test_chordless_cycles_against_filtered_all_cycles():
                     return False
         return True
 
-    for n in range(3, 7):
+    for n in range(3, 8):
         for g in connected_graphs(n):
             expected = sorted(c for c in all_cycles(g) if chordless(g, c))
             assert chordless_cycles(g) == expected
+
+
+def test_odd_cycle_condition_against_pairwise_oracle():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            odd = enumerate_minimal_odd_cycles(g)
+            assert satisfies_odd_cycle_condition(g) == pairwise_odd_cycle_condition(g, odd)
 
 
 def test_odd_cycle_condition():

@@ -11,6 +11,7 @@ from edgering.graphs import (
     cycle_graph,
     is_bipartite,
     make_family,
+    neighbour_masks,
     path_graph,
     star_graph,
     two_triangles_path,
@@ -108,6 +109,17 @@ def test_predicted_equals_hull_exhaustive_d5():
             hull = {f.normal for f in edge_polytope(g).facets()}
             pred = {f.normal for f in predicted_facets(g)}
             assert hull == pred, f"facet mismatch on {g}"
+
+
+def test_predicted_facets_caches_nothing_beyond_its_graphs():
+    # the subgraph queries run on the graph's own neighbour masks, so every
+    # cache entry they could add is keyed on one of the graphs asked about
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    before = [f.cache_info().misses for f in (neighbour_masks, is_bipartite)]
+    for g in graphs:
+        predicted_facets(g)
+    after = [f.cache_info().misses for f in (neighbour_masks, is_bipartite)]
+    assert all(b - a <= len(graphs) for a, b in zip(before, after))
 
 
 def test_predicted_equals_hull_beyond_digest_scope():
