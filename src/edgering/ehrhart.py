@@ -16,7 +16,7 @@ One enumerator, `_shape_blocks`, yields the integer vectors on the scaled
 hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows. It works
 on a shape, d plus the side sizes when G is bipartite, laid out left side
 first; `_candidate_blocks` places its columns in G's own order, for the
-window and for the interior search, which runs on G with its pendant
+points and for the interior search, which runs on G with its pendant
 vertices stripped. The box (lo = 0) holds every lattice point of qP, the
 all-positive slice (lo = 1) every relative-interior point. Every block is
 tested against one facet kernel, `_facet_min`: the facet normals h of P,
@@ -34,9 +34,12 @@ shape, cached for `_PACKED_SHAPES` shapes, and permutes the columns of G's
 facet matrix to the shape's layout; h.x is a sum over columns, so the counts
 are exact. One `_facet_min` call and one `np.add.reduceat` over the
 dilations' first rows count them all. Dilations that do not fit one block
-stream through the same stacks, so memory stays bounded by a block. The
-window's own counts take a count-only path that caches two integers per
-dilation and never materialises the points.
+stream through the same stacks, so memory stays bounded by a block. This
+is the one place a count is taken: `lattice_count` and `interior_count` ask
+the same kernel for one dilation, the box or the all-positive slice. The
+points themselves, behind `lattice_points`, `interior_lattice_points` and
+`check_idp`, come from the whole box in G's own columns, a route
+independent of the packed stacks.
 
 The h*-vector is the numerator of the Ehrhart series, sum |qP| t^q =
 h*(t) / (1 - t)^(dim + 1). `h_star` reads h* from both ends with one
@@ -191,13 +194,16 @@ def _facet_matrix(g: Graph) -> np.ndarray:
     to the layout of G's shape, which changes no h.x."""
     fs = edge_polytope(g).facets()
     h = np.array([f.normal for f in fs], dtype=np.int64).reshape(-1, g.d)
-    # the window, the slice count and the packed stacks validate q <= MAX_Q,
-    # and the interior search stops at q = dim + 1, so with
-    # 0 <= x <= max(MAX_Q, dim + 1) every partial sum of H @ x is an integer
-    # of magnitude below 2**53: the float64 product is exact, in any column
-    # order and however the candidates are split between products
+    # the points and the packed stacks validate q <= MAX_Q, and the interior
+    # search stops at q = dim + 1, so with 0 <= x <= max(MAX_Q, dim + 1)
+    # every partial sum of H @ x is an integer of magnitude below 2**53: the
+    # float64 product is exact, in any column order and however the
+    # candidates are split between products
     top = max(MAX_Q, edge_polytope(g).dim + 1)
-    assert int(np.abs(h).max(initial=0)) * top * g.d < 1 << 53
+    if int(np.abs(h).max(initial=0)) * top * g.d >= 1 << 53:
+        raise BudgetExceededError(
+            f"facet values of {g.d} coordinates up to {top} are not exact in float64"
+        )
     out = h.astype(np.float64)
     out.setflags(write=False)
     return out
@@ -235,7 +241,7 @@ def _layout(g: Graph) -> tuple[tuple[int, int] | None, np.ndarray]:
 def _candidate_blocks(g: Graph, q: int, lo: int):
     """Integer vectors with lo <= x_i <= q satisfying the hull equations of
     qP, in blocks of about _BLOCK_ROWS rows: lo = 0 gives every candidate of
-    the window, lo = 1 the all-positive slice of the interior search."""
+    the points, lo = 1 the all-positive slice of the interior search."""
     sides, order = _layout(g)
     return _shape_blocks(g.d, sides, order, q, lo)
 
@@ -265,12 +271,6 @@ def _shape_blocks(d: int, sides: tuple[int, int] | None, cols: np.ndarray, q: in
         yield block
 
 
-def _sides(g: Graph) -> tuple[int, int] | None:
-    """The side sizes of G when it is bipartite, None otherwise."""
-    bip = is_bipartite(g)
-    return None if bip is None else (len(bip.left), len(bip.right))
-
-
 def window_row_cost(g: Graph, q_max: int) -> int:
     """Candidate rows of the whole box of candidates up to q_max: exact for
     bipartite G, else an upper bound that ignores the cap q (6 at d = 3,
@@ -279,7 +279,7 @@ def window_row_cost(g: Graph, q_max: int) -> int:
     This is the row budget's gate. `h_star` reads it at q_max = dim + 2, the
     full window, not at the far fewer rows it evaluates, so that h* is
     skipped on exactly the graphs where the full window skipped it."""
-    return _shape_row_cost(g.d, _sides(g), q_max)
+    return _shape_row_cost(g.d, _layout(g)[0], q_max)
 
 
 @lru_cache(maxsize=None)
@@ -302,71 +302,35 @@ def _check_dilation(q: int) -> None:
         raise BudgetExceededError(f"dilation {q} exceeds the supported bound {MAX_Q}")
 
 
-def _window(g: Graph, q: int):
-    """(candidates, facet minima) of the dilation qP, one block at a time;
-    every window function validates q here."""
-    _check_dilation(q)
-    if q == 0:
-        # the origin: a lattice point of 0P, never counted as interior
-        yield np.zeros((1, g.d), dtype=np.int16), np.zeros(1)
-        return
-    h = _facet_matrix(g)
-    for cand in _candidate_blocks(g, q, 0):
-        yield cand, _facet_min(h, cand)
-
-
 def _lattice_classified(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(points, strict) for qP: the lattice points as an int array, in no
-    particular order, plus a boolean mask marking relative-interior points."""
+    particular order, plus a boolean mask marking relative-interior points.
+
+    The whole box of candidates in G's own columns, one block at a time,
+    against G's facet matrix: the route of the points, and the tests'
+    reference for every count. 0P is the origin, never interior, which K2's
+    facetless P would otherwise make it."""
+    _check_dilation(q)
+    h = _facet_matrix(g)
     points, strict = [], []
-    for cand, m in _window(g, q):
+    for cand in _candidate_blocks(g, q, 0):
+        m = _facet_min(h, cand)
         inside = m >= 0
         points.append(cand[inside])
-        strict.append(m[inside] > 0)
+        strict.append((m[inside] > 0) & (q > 0))
     return np.concatenate(points), np.concatenate(strict)
-
-
-@lru_cache(maxsize=4096)
-def _window_counts(g: Graph, q: int) -> tuple[int, int]:
-    """(|qP|, |relint qP|) from one pass, without materialising the points."""
-    inside = interior = 0
-    for _, m in _window(g, q):
-        inside += int(np.count_nonzero(m >= 0))
-        interior += int(np.count_nonzero(m > 0))
-    return inside, interior
 
 
 def lattice_points(g: Graph, q: int) -> set[tuple[int, ...]]:
     """Integer points of the dilation q * P, enumerated geometrically."""
     pts, _ = _lattice_classified(g, q)
-    return {tuple(int(x) for x in row) for row in pts}
+    return set(map(tuple, pts.tolist()))
 
 
 def interior_lattice_points(g: Graph, q: int) -> set[tuple[int, ...]]:
     """Lattice points in the relative interior of q * P."""
     pts, strict = _lattice_classified(g, q)
-    return {tuple(int(x) for x in row) for row in pts[strict]}
-
-
-def lattice_count(g: Graph, q: int) -> int:
-    return _window_counts(g, q)[0]
-
-
-def interior_count(g: Graph, q: int) -> int:
-    return _window_counts(g, q)[1]
-
-
-def _slice_interior_count(g: Graph, q: int) -> int:
-    """|relint qP| from the all-positive slice of the candidates, tested
-    against G's whole facet matrix: a relative-interior point has every
-    coordinate >= 1 (see `min_interior_q`), so the slice holds all of them,
-    and the count is 0 when 2q < d, where the slice is empty. h* takes these
-    counts from `_dilation_counts`; this one dilation in G's own columns is
-    their reference."""
-    _check_dilation(q)
-    h = _facet_matrix(g)
-    return sum(int(np.count_nonzero(_facet_min(h, block) > 0))
-               for block in _candidate_blocks(g, q, 1))
+    return set(map(tuple, pts[strict].tolist()))
 
 
 def _stacks(d: int, sides: tuple[int, int] | None, dilations: tuple[tuple[int, int], ...]):
@@ -436,6 +400,17 @@ def _dilation_counts(g: Graph, dilations: tuple[tuple[int, int], ...]) -> list[i
     for stack, floor, starts, owners in _stacks(g.d, sides, dilations) if stacks is None else stacks:
         np.add.at(counts, owners, np.add.reduceat(_facet_min(h, stack.T) >= floor, starts))
     return counts.tolist()
+
+
+def lattice_count(g: Graph, q: int) -> int:
+    """|qP|, counted by the packed kernel on the box of candidates."""
+    return _dilation_counts(g, ((q, 0),))[0]
+
+
+def interior_count(g: Graph, q: int) -> int:
+    """|relint qP|, counted by the packed kernel on the all-positive slice,
+    which is empty at q = 0."""
+    return _dilation_counts(g, ((q, 1),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +607,7 @@ def h_star(g: Graph) -> tuple[int, ...]:
     if not is_normal(g):
         raise NotNormalError("h* is computed for normal edge rings only")
     dim = edge_polytope(g).dim
-    sides = _sides(g)
+    sides, _ = _layout(g)
     cost, budget = _shape_row_cost(g.d, sides, dim + 2), ROW_BUDGET
     if cost > budget:
         raise BudgetExceededError(

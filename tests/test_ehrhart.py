@@ -11,7 +11,6 @@ from edgering.ehrhart import (
     NotNormalError,
     _candidate_blocks,
     _compositions,
-    _slice_interior_count,
     _split,
     check_idp,
     ehrhart_polynomial_value,
@@ -50,6 +49,17 @@ from oracles import (
     uncapped_compositions,
     unreduced_min_interior_q,
 )
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Sets _BLOCK_ROWS for one test. The packed stacks are cached by shape,
+    not by block size, so they are dropped before and after."""
+    def set_rows(rows):
+        monkeypatch.setattr(edgering.ehrhart, "_BLOCK_ROWS", rows)
+        edgering.ehrhart._packed.cache_clear()
+    yield set_rows
+    edgering.ehrhart._packed.cache_clear()
 
 
 def test_lattice_points_examples():
@@ -229,6 +239,39 @@ def test_window_matches_brute_force_box_scan():
                 assert interior_count(g, q) == len(interior)
 
 
+def test_origin_and_the_facetless_polytope():
+    # 0P is the origin and has no interior point: the box at q = 0 is one zero
+    # row, and the all-positive slice is empty. K2's P is one point with no
+    # facet, so at q >= 1 its one lattice point is also interior
+    for n in range(2, 6):
+        for g in connected_graphs(n):
+            assert lattice_count(g, 0) == 1
+            assert interior_count(g, 0) == 0
+            assert lattice_points(g, 0) == {(0,) * g.d}
+            assert interior_lattice_points(g, 0) == set()
+    k2 = complete_graph(2)
+    assert edge_polytope(k2).dim == 0 and not edge_polytope(k2).facets()
+    for q in (1, 2):
+        assert (lattice_count(k2, q), interior_count(k2, q)) == (1, 1)
+        assert lattice_points(k2, q) == interior_lattice_points(k2, q) == {(q, q)}
+
+
+def test_inexact_facet_products_are_refused(monkeypatch, capsys):
+    # with dilations up to 2**50, K8's facet values could leave the integers
+    # float64 holds exactly; the facet matrix refuses them with
+    # BudgetExceededError, not an assert that python -O drops, and the CLI
+    # reports that as a bad request (exit 1)
+    monkeypatch.setattr(edgering.ehrhart, "MAX_Q", 2 ** 50)
+    edgering.ehrhart._facet_matrix.cache_clear()
+    try:
+        with pytest.raises(BudgetExceededError, match="float64"):
+            edgering.ehrhart._facet_matrix(complete_graph(8))
+        assert main(["analyze", "--family", "complete(8)"]) == 1
+        assert "not exact in float64" in capsys.readouterr().err
+    finally:
+        edgering.ehrhart._facet_matrix.cache_clear()
+
+
 def test_reciprocity_failure_is_an_invariant_violation(monkeypatch):
     # C4 (d = 4) reads its interior counts from the slice at q = 2..4
     real = edgering.ehrhart._dilation_counts
@@ -339,14 +382,14 @@ def test_planted_counterexample_is_reported(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("call", [lattice_points, interior_lattice_points, lattice_count,
-                                  interior_count, idp_points, hilbert_function,
-                                  _slice_interior_count])
+                                  interior_count, idp_points, hilbert_function])
 def test_negative_q_is_refused(call):
     with pytest.raises(ValueError, match="nonnegative"):
         call(complete_graph(4), -1)
 
 
-@pytest.mark.parametrize("call", [lattice_count, interior_count, _slice_interior_count])
+@pytest.mark.parametrize("call", [lattice_count, interior_count, lattice_points,
+                                  interior_lattice_points])
 def test_q_over_max_is_refused(call):
     g = complete_graph(4)
     call(g, edgering.ehrhart.MAX_Q)
@@ -356,11 +399,10 @@ def test_q_over_max_is_refused(call):
 
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), complete_bipartite_graph(2, 3),
                                path_graph(5)], ids=["K4", "C5", "K23", "P5"])
-def test_blocked_window_matches_brute_force(monkeypatch, g):
-    # seven-row blocks split every window and every interior search; the
-    # count cache is cleared so the counts are taken through them
-    monkeypatch.setattr(edgering.ehrhart, "_BLOCK_ROWS", 7)
-    edgering.ehrhart._window_counts.cache_clear()
+def test_blocked_window_matches_brute_force(block_rows, g):
+    # seven-row blocks split every window, every count and every interior
+    # search
+    block_rows(7)
     for q in range(1, edge_polytope(g).dim + 3):
         points, interior = brute_window(g, q)
         assert lattice_points(g, q) == points
@@ -376,18 +418,18 @@ def test_blocked_window_matches_brute_force(monkeypatch, g):
         assert len(rows[1]) == len(set(map(tuple, rows[1].tolist())))
 
 
-@pytest.mark.parametrize("block_rows", [edgering.ehrhart._BLOCK_ROWS, 7], ids=["real", "tiny"])
-def test_restricted_interior_matches_full_enumeration(monkeypatch, block_rows):
+@pytest.mark.parametrize("rows", [edgering.ehrhart._BLOCK_ROWS, 7], ids=["real", "tiny"])
+def test_restricted_interior_matches_full_enumeration(block_rows, rows):
     # the interior search scans only all-positive vectors; cross-check the
-    # resulting threshold against full classification. Tiny blocks split each
-    # search, bipartite or not, into many blocks.
-    monkeypatch.setattr(edgering.ehrhart, "_BLOCK_ROWS", block_rows)
+    # resulting threshold against the points of the whole box. Tiny blocks
+    # split each search, bipartite or not, into many blocks.
+    block_rows(rows)
     for g in [complete_graph(4), complete_graph(5), cycle_graph(6), star_graph(6),
               complete_bipartite_graph(2, 4), complete_bipartite_graph(3, 3), path_graph(7),
               cycle_graph(7), two_triangles_path(1)]:
         p = edge_polytope(g)
         q_min = min_interior_q(g)
-        firsts = [q for q in range(1, p.dim + 2) if interior_count(g, q) > 0]
+        firsts = [q for q in range(1, p.dim + 2) if interior_lattice_points(g, q)]
         assert firsts and firsts[0] == q_min
 
 
@@ -414,14 +456,14 @@ def test_point_codes_fit_int64_or_raise(d):
 
 def test_half_window_matches_full_window():
     # h* from the split's lattice and slice counts plus reciprocity equals h*
-    # read straight off the full window's counts at q = 0..dim
+    # read straight off the point counts of the whole box at q = 0..dim
     small = [g for n in range(2, 7) for g in connected_graphs(n) if is_normal(g)]
     larger = [cycle_graph(7), complete_graph(6), complete_bipartite_graph(3, 4), path_graph(8)]
     dims = set()
     for g in small + larger:
         dim = edge_polytope(g).dim
         dims.add(dim)
-        counts = [lattice_count(g, q) for q in range(dim + 3)]
+        counts = [len(lattice_points(g, q)) for q in range(dim + 1)]
         assert h_star(g) == hstar_from_counts(counts, dim), g
     assert {0, 1, 2, 3} <= dims  # K2, both parities of dim
 
@@ -439,8 +481,8 @@ def _read_counts(g):
 def test_h_star_counts_only_the_half_window(monkeypatch, g):
     # h* asks the packed kernel for the box at q = 0..a and the all-positive
     # slice at q = ceil(d/2)..b, with a + b + 1 - dim = 4 spare equations; the
-    # enumerator builds exactly those dilations once per shape, and no
-    # per-dilation window runs
+    # enumerator builds exactly those dilations once per shape, and the
+    # point route never runs
     asked, built = [], []
     real_counts, real_blocks = edgering.ehrhart._dilation_counts, edgering.ehrhart._shape_blocks
 
@@ -452,12 +494,12 @@ def test_h_star_counts_only_the_half_window(monkeypatch, g):
         built.append((q, lo))
         return real_blocks(d, sides, cols, q, lo)
 
-    def window(graph, q):
-        raise AssertionError("h* ran a per-dilation window")
+    def classified(graph, q):
+        raise AssertionError("h* ran the point route")
 
     monkeypatch.setattr(edgering.ehrhart, "_dilation_counts", dilation_counts)
     monkeypatch.setattr(edgering.ehrhart, "_shape_blocks", shape_blocks)
-    monkeypatch.setattr(edgering.ehrhart, "_window", window)
+    monkeypatch.setattr(edgering.ehrhart, "_lattice_classified", classified)
     edgering.ehrhart._packed.cache_clear()
     dim = edge_polytope(g).dim
     lattice, interior = _read_counts(g)
@@ -510,16 +552,6 @@ def test_single_count_fault_breaks_reciprocity(monkeypatch, g, lo, fault_q):
         assert h_star(g) == expected
 
 
-def test_slice_interior_count_matches_full_window():
-    # the all-positive slice against G's whole facet matrix counts the same
-    # interior points as the full window, at every q <= dim + 2
-    small = [g for n in range(2, 7) for g in connected_graphs(n) if is_normal(g)]
-    larger = [cycle_graph(7), complete_bipartite_graph(3, 4), path_graph(8)]
-    for g in small + larger:
-        for q in range(edge_polytope(g).dim + 3):
-            assert _slice_interior_count(g, q) == interior_count(g, q), (g, q)
-
-
 def test_split_of_every_shape():
     # for every shape with d <= 15, bipartite or not: 4 spare equations, both
     # ends within min(dim + 2, MAX_Q), and the row figure the split is chosen
@@ -566,25 +598,26 @@ def _packed_count_graphs():
     return small + larger + relabelled
 
 
-@pytest.mark.parametrize("block_rows", [edgering.ehrhart._BLOCK_ROWS, 50], ids=["real", "small"])
-def test_packed_counts_match_per_dilation_counts(monkeypatch, block_rows):
+@pytest.mark.parametrize("rows", [edgering.ehrhart._BLOCK_ROWS, 50], ids=["real", "small"])
+def test_packed_counts_match_per_dilation_counts(block_rows, rows):
     # every lattice count and slice count up to dim + 2, from one call of the
-    # packed kernel, against the per-dilation window and slice in G's own
-    # columns. path(8)'s dilations do not fit one real block and stream;
-    # fifty-row blocks make most graphs stream and join the blocks of several
-    # dilations into one stack
-    monkeypatch.setattr(edgering.ehrhart, "_BLOCK_ROWS", block_rows)
-    edgering.ehrhart._packed.cache_clear()
-    streamed = 0
+    # packed kernel, against the points of the whole box in G's own columns.
+    # path(8)'s dilations do not fit one real block and stream; fifty-row
+    # blocks make most graphs stream and join the blocks of several
+    # dilations into one stack. The points are taken at the real block size
+    wants = []
     for g in _packed_count_graphs():
         top = edge_polytope(g).dim + 2
         dilations = (*((q, 0) for q in range(top + 1)), *((q, 1) for q in range(1, top + 1)))
-        want = [lattice_count(g, q) for q in range(top + 1)]
-        want += [_slice_interior_count(g, q) for q in range(1, top + 1)]
+        want = [len(lattice_points(g, q)) for q in range(top + 1)]
+        want += [len(interior_lattice_points(g, q)) for q in range(1, top + 1)]
+        wants.append((g, dilations, want))
+    block_rows(rows)
+    streamed = 0
+    for g, dilations, want in wants:
         assert edgering.ehrhart._dilation_counts(g, dilations) == want, g
         streamed += edgering.ehrhart._packed(g.d, edgering.ehrhart._layout(g)[0], dilations) is None
     assert streamed >= 1
-    edgering.ehrhart._packed.cache_clear()
 
 
 def test_facet_products_stay_under_the_thread_bound(monkeypatch):
