@@ -377,8 +377,6 @@ def _packed(d: int, sides: tuple[int, int] | None,
             dilations: tuple[tuple[int, int], ...]) -> tuple[tuple[np.ndarray, ...], ...] | None:
     """`_stacks` as one cached stack when the dilations fit one block of
     _BLOCK_ROWS rows; None when they do not, and stream."""
-    for q, _ in dilations:
-        _check_dilation(q)
     if sum(_candidate_rows(d, sides, q, lo) for q, lo in dilations) > _BLOCK_ROWS:
         return None
     return tuple(_stacks(d, sides, dilations))
@@ -391,11 +389,14 @@ def _dilation_counts(g: Graph, dilations: tuple[tuple[int, int], ...]) -> list[i
 
     The dilations are counted together, by one `_facet_min` call over the
     packed stack of G's shape, with G's facet matrix permuted to its layout;
-    dilations that do not fit one block stream through the same stacks.
+    dilations that do not fit one block stream through the same stacks, and
+    so does one dilation alone, which leaves h*'s stacks in the cache.
     """
+    for q, _ in dilations:
+        _check_dilation(q)
     sides, order = _layout(g)
     h = _facet_matrix(g) if sides is None else _facet_matrix(g)[:, order]
-    stacks = _packed(g.d, sides, dilations)
+    stacks = _packed(g.d, sides, dilations) if len(dilations) > 1 else None
     counts = np.zeros(len(dilations), dtype=np.int64)
     for stack, floor, starts, owners in _stacks(g.d, sides, dilations) if stacks is None else stacks:
         np.add.at(counts, owners, np.add.reduceat(_facet_min(h, stack.T) >= floor, starts))

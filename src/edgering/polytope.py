@@ -19,19 +19,19 @@ graph connected (bipartite case), and hyperplane facets from independent sets
 whose neighborhood structure is connected with a suitable complement. Both
 outputs are brought to the canonical form, so they compare as sets.
 
-One fraction-free elimination per graph (`linalg.eliminate` on [V^T | I],
-V the edge vectors) gives the dimension, the basis edges (its pivot
-columns) and the initial simplicial cone of the double description (the
-right block of each pivot row, a ray that vanishes on every basis edge but
-its own).
+The basis edges and the initial simplicial cone of the double description
+are read off the graph (`_basis_cone`): the edge vectors' linear matroid is
+the even-cycle matroid of G, and each initial ray alternates +-1 on a tree
+of the basis forest. A certificate checks every ray against the basis, and
+the basis size against the structural dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 
-from . import linalg
 from .graphs import (
     Graph,
     InvariantViolationError,
@@ -58,6 +58,13 @@ class FacetInequality:
 
     normal: tuple[int, ...]
     provenance: str = "hull"
+
+
+def primitive(vec) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries (sign preserved)."""
+    vals = tuple(vec)
+    g = gcd(*vals)
+    return tuple(x // g for x in vals) if g > 1 else vals
 
 
 def _dot(a, b) -> int:
@@ -106,15 +113,12 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         raise NotConnectedError("edge polytope is defined for connected graphs")
     verts = tuple(_edge_vector(g.d, e) for e in g.edges)
     bip = is_bipartite(g)
-    # Eliminating [V^T | I] leaves, in pivot row i, a functional (the right
-    # block) whose value is det on the i-th basis edge and 0 on the others.
-    aug = [[v[k] for v in verts] + [int(k == j) for j in range(g.d)] for k in range(g.d)]
-    reduced, basis, det = linalg.eliminate(aug, g.m)
+    basis, rays = _basis_cone(g)
     dim = len(basis) - 1
     expected = g.d - 2 if bip is not None else g.d - 1
     if dim != expected:
         raise InvariantViolationError(
-            f"rank-computed dimension {dim} != structural dimension {expected}"
+            f"certified dimension {dim} != structural dimension {expected}"
         )
     equations: list[tuple[tuple[int, ...], int]] = [(tuple([1] * g.d), 2)]
     if bip is not None:
@@ -126,9 +130,63 @@ def edge_polytope(g: Graph) -> EdgePolytope:
                 raise InvariantViolationError("vertex violates an affine hull equation")
     chosen = set(basis)
     order = tuple(basis + [e for e in range(g.m) if e not in chosen])
-    sign = 1 if det > 0 else -1
-    rays = [linalg.primitive(sign * x for x in row[g.m:]) for row in reduced[: len(basis)]]
     return EdgePolytope(g, g.d, verts, dim, tuple(equations), (order, rays))
+
+
+def _basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(basis, rays): the first basis of the edge vectors in edge order, and
+    per basis edge a ray that is 0 on every other basis edge and positive on
+    its own, the initial cone of the double description.
+
+    The edge vectors' matroid is the even-cycle matroid of G: edges are
+    independent when each component they form is a tree or holds one cycle,
+    and that cycle is odd. A union-find with parity keeps every edge that
+    leaves them so. A functional that vanishes on a connected edge set
+    alternates on it, so it is 0 where the set holds an odd cycle: the ray of
+    k = {i, j} alternates +-1 on the tree of F - k that holds i (else j), F
+    the basis forest, is +1 at that endpoint and 0 elsewhere. Each ray is
+    checked on every basis edge, which certifies the basis independent; a
+    failure raises InvariantViolationError.
+    """
+    parent, flip, cyclic = list(range(g.d + 1)), [0] * (g.d + 1), [False] * (g.d + 1)
+
+    def find(v: int) -> tuple[int, int]:
+        """The root of v and the parity of v's side against it."""
+        side = 0
+        while parent[v] != v:
+            side, v = side ^ flip[v], parent[v]
+        return v, side
+
+    basis, nb = [], [0] * (g.d + 1)
+    for e, (i, j) in enumerate(g.edges):
+        (a, s), (b, t) = find(i), find(j)
+        if a == b and (cyclic[a] or s != t) or a != b and cyclic[a] and cyclic[b]:
+            continue  # a second cycle in one component, or an even cycle
+        if a != b:
+            parent[b], flip[b] = a, s ^ t ^ 1
+        cyclic[a] = a == b or cyclic[a] or cyclic[b]
+        basis.append(e)
+        nb[i] |= 1 << j
+        nb[j] |= 1 << i
+
+    edges = [g.edges[e] for e in basis]
+    rays = []
+    for k, (i, j) in enumerate(edges):
+        nb[i] ^= 1 << j
+        nb[j] ^= 1 << i
+        trees = {end: (part, left) for part, left in coloured_components(nb, vertex_mask(g))
+                 for end in (i, j) if part >> end & 1 and left is not None}
+        end = i if i in trees else j
+        part, left = trees.get(end, (0, 0))
+        plus = left if left >> end & 1 else part & ~left
+        ray = tuple(1 if plus >> v & 1 else -(part >> v & 1) for v in g.vertices())
+        nb[i] ^= 1 << j
+        nb[j] ^= 1 << i
+        vals = [ray[a - 1] + ray[b - 1] for a, b in edges]
+        if vals[k] <= 0 or any(vals[:k] + vals[k + 1:]):
+            raise InvariantViolationError(f"initial ray of basis edge {(i, j)} fails the certificate")
+        rays.append(ray)
+    return basis, rays
 
 
 def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequality:
@@ -144,7 +202,7 @@ def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequ
         chi = p.hull_equations[1][0]
         t = min(x for x, c in zip(h, chi) if c)
         h = [x - t if c else x + t for x, c in zip(h, chi)]
-    h = linalg.primitive(h)
+    h = primitive(h)
     if not any(h):
         raise ValueError("functional vanishes on every edge vector, not a facet candidate")
     return FacetInequality(h, provenance)
@@ -197,7 +255,7 @@ def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
                 # combination vanishes exactly where both do, and on this one
                 lam, mu = vals[kp], -vals[km]
                 new_rays.append(
-                    linalg.primitive(mu * a + lam * b for a, b in zip(rays[kp], rays[km]))
+                    primitive(mu * a + lam * b for a, b in zip(rays[kp], rays[km]))
                 )
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks

@@ -668,3 +668,21 @@ def test_packed_stack_cache_is_bounded():
     info = edgering.ehrhart._packed.cache_info()
     assert info.maxsize == edgering.ehrhart._PACKED_SHAPES
     assert info.misses > info.maxsize >= info.currsize
+
+
+def test_one_dilation_counts_leave_the_stack_cache_alone():
+    # lattice_count and interior_count at q = 0..dim + 2, asked before each
+    # h* (the window digest's pattern), stream past the stack cache, so h*
+    # reads the same hits and misses as it does alone
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n) if is_normal(g)]
+    infos = []
+    for interleaved in (False, True):
+        edgering.ehrhart._packed.cache_clear()
+        for g in graphs:
+            for q in range(edge_polytope(g).dim + 3) if interleaved else ():
+                lattice_count(g, q)
+                interior_count(g, q)
+            h_star(g)
+        infos.append(edgering.ehrhart._packed.cache_info())
+    assert infos[0] == infos[1]
+    assert infos[0].hits > 0

@@ -1,9 +1,11 @@
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from edgering import linalg
+import edgering.polytope
+import output_digests
+from edgering.cli import main
 from edgering.enumeration import connected_graphs
 from edgering.graphs import (
     Graph,
@@ -18,13 +20,16 @@ from edgering.graphs import (
 )
 from edgering.ehrhart import lattice_points
 from edgering.polytope import (
+    InvariantViolationError,
+    _basis_cone,
     _dot,
     canonical_inequality,
     contains,
     edge_polytope,
     predicted_facets,
+    primitive,
 )
-from oracles import bruteforce_facets, caratheodory_member, frac_rank
+from oracles import bruteforce_facets, caratheodory_member, frac_rank, frac_solve_square
 
 
 def test_vertices_and_dimension():
@@ -139,18 +144,11 @@ def test_predicted_equals_hull_beyond_digest_scope():
         assert hull == {f.normal for f in predicted_facets(g)}, spec
 
 
-def test_one_elimination_gives_the_initial_cone_d6(monkeypatch):
-    calls = []
-    kernel = linalg.eliminate
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "eliminate", counted)
+def test_one_elimination_gives_the_initial_cone_d6():
+    # the basis edges come first in the DD's order, with one ray per basis
+    # edge, positive on it and 0 on the others; facets() drops the cone
     for n in range(2, 7):
         for g in connected_graphs(n):
-            calls.clear()
             p = edge_polytope.__wrapped__(g)  # uncached, so the cone is still held
             order, rays = p._cone
             assert sorted(order) == list(range(g.m))
@@ -160,7 +158,85 @@ def test_one_elimination_gives_the_initial_cone_d6(monkeypatch):
                 assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), g
             p.facets()
             assert p._cone is None
-            assert len(calls) == 1, g
+
+
+BASIS_CONE_SPECS = [
+    "complete(10)",
+    "complete_bipartite(6,6)",
+    "path(13)",
+    "cycle(11)",
+    "attach_path(complete(8),1,4)",
+    "two_triangles_path(4)",
+]
+
+
+def test_basis_cone_matches_fraction_references():
+    # the basis is the left-to-right greedy of the rank, which stops at the
+    # rank of all edge vectors, and a non-bipartite graph's ray for basis
+    # edge k is the positive primitive multiple of the solution of
+    # V_B r = e_k, V_B the basis edge vectors as rows; a bipartite graph's
+    # ray is one representative modulo chi_L - chi_R, so it is held only to
+    # its values on the basis edges
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
+    for g in graphs + [make_family(spec) for spec in BASIS_CONE_SPECS]:
+        verts = edge_polytope(g).vertices
+        basis, rays = _basis_cone(g)
+        rank, greedy = frac_rank(verts), []
+        for e in range(g.m):
+            if len(greedy) == rank:
+                break
+            if frac_rank([verts[c] for c in greedy + [e]]) > len(greedy):
+                greedy.append(e)
+        assert basis == greedy, g
+        rows = [verts[e] for e in basis]
+        for k, ray in enumerate(rays):
+            if is_bipartite(g) is None:
+                x = frac_solve_square(rows, [int(t == k) for t in range(len(basis))])
+                scale = lcm(*(v.denominator for v in x))
+                assert ray == primitive(int(v * scale) for v in x), (g, k)
+            else:
+                vals = [_dot(ray, row) for row in rows]
+                assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), (g, k)
+
+
+@pytest.fixture
+def flipped_colouring(monkeypatch):
+    # a planted fault: the top vertex of every tree component changes sides
+    # in the colouring the polytope layer reads, so some initial ray is no
+    # longer 0 on a basis edge next to it
+    real = edgering.polytope.coloured_components
+
+    def flipped(nb, inside):
+        for part, left in real(nb, inside):
+            yield part, None if left is None else left ^ (1 << part.bit_length() - 1)
+
+    monkeypatch.setattr(edgering.polytope, "coloured_components", flipped)
+    edge_polytope.cache_clear()
+    yield
+    edge_polytope.cache_clear()
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(4)], ids=["K4", "C4"])
+def test_basis_cone_certificate_fails_closed(flipped_colouring, g):
+    with pytest.raises(InvariantViolationError, match="certificate"):
+        edge_polytope.__wrapped__(g)
+
+
+def test_failed_certificate_exits_3(flipped_colouring, capsys):
+    assert main(["analyze", "--family", "complete(4)"]) == 3
+    assert "fails the certificate" in capsys.readouterr().err
+
+
+def test_polytope_digests_equal_the_pinned_ones():
+    # the facets and predicted lines of tests/output_digests.py
+    assert output_digests._facets_digest() == output_digests.PINNED["facets"]
+    assert output_digests._predicted_digest() == output_digests.PINNED["predicted"]
+
+
+def test_primitive():
+    assert primitive((0, 0)) == (0, 0)
+    assert primitive((-4, 6, 0)) == (-2, 3, 0)
+    assert primitive((3, -1)) == (3, -1)
 
 
 def test_facets_match_bruteforce_candidate_hyperplanes():
