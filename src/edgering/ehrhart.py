@@ -420,10 +420,7 @@ def interior_count(g: Graph, q: int) -> int:
 
 @lru_cache(maxsize=1024)
 def _idp_packed(g: Graph, q: int) -> np.ndarray:
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if q > MAX_Q:
-        raise BudgetExceededError(f"degree {q} exceeds the supported bound {MAX_Q}")
+    _check_dilation(q)
     if q == 0:
         arr = np.zeros(1, dtype=np.int64)
         arr.setflags(write=False)

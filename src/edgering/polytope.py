@@ -8,7 +8,7 @@ full-dimensional and h is unique. For a bipartite graph with sides L and R it
 spans the hyperplane (chi_L - chi_R).x = 0, so h is defined only modulo
 chi_L - chi_R; the canonical representative has minimum 0 over L.
 
-Facets are produced two independent ways. `EdgePolytope.facets()` runs a
+Facets are produced two independent ways. `edge_polytope` runs a
 double description pass with the edge vectors as cone generators, in R^d
 and entirely in integer arithmetic: a ray's value on edge {i, j} is
 r_i + r_j, and for a bipartite graph each ray is a representative modulo
@@ -28,7 +28,7 @@ the basis size against the structural dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gcd
 
@@ -78,25 +78,19 @@ def _edge_vector(d: int, e: tuple[int, int]) -> tuple[int, ...]:
     return tuple(v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgePolytope:
-    """Convex hull of the edge vectors e_i + e_j of a connected graph."""
+    """Convex hull of the edge vectors e_i + e_j of a connected graph, with
+    the facets the double description found when it was built."""
 
     graph: Graph
     d: int
     vertices: tuple[tuple[int, ...], ...]
     dim: int
     hull_equations: tuple[tuple[tuple[int, ...], int], ...]
-    # the initial cone of the double description, kept only until facets()
-    # runs: (order, rays), the edge indices in processing order with the
-    # basis edges first, and one primitive ray per basis edge
-    _cone: tuple | None = field(default=None, repr=False)
-    _facets: tuple[FacetInequality, ...] | None = field(default=None, repr=False)
+    _facets: tuple[FacetInequality, ...] = field(repr=False)
 
     def facets(self) -> tuple[FacetInequality, ...]:
-        if self._facets is None:
-            self._facets = _hull_facets(self)
-            self._cone = None
         return self._facets
 
     def tight_vertices(self, facet: FacetInequality) -> tuple[int, ...]:
@@ -130,7 +124,8 @@ def edge_polytope(g: Graph) -> EdgePolytope:
                 raise InvariantViolationError("vertex violates an affine hull equation")
     chosen = set(basis)
     order = tuple(basis + [e for e in range(g.m) if e not in chosen])
-    return EdgePolytope(g, g.d, verts, dim, tuple(equations), (order, rays))
+    p = EdgePolytope(g, g.d, verts, dim, tuple(equations), ())
+    return replace(p, _facets=_hull_facets(p, order, rays))
 
 
 def _basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -212,10 +207,12 @@ def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequ
 # Hull-side facet computation (double description)
 # ---------------------------------------------------------------------------
 
-def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
+def _hull_facets(p: EdgePolytope, order: tuple[int, ...], rays: list[tuple[int, ...]]
+                 ) -> tuple[FacetInequality, ...]:
     """Facets of the cone over P, the extreme rays of its dual cone, built
-    incrementally one edge inequality at a time from the simplicial initial
-    cone of `edge_polytope` with the combinatorial adjacency test.
+    incrementally one edge inequality at a time with the combinatorial
+    adjacency test. The DD takes the edges in `order`, the basis edges of
+    `_basis_cone` first, and starts from the simplicial cone of its `rays`.
 
     The initial cone is simplicial, so every intermediate cone is pointed
     (modulo chi_L - chi_R when G is bipartite) and each new ray comes from
@@ -224,7 +221,6 @@ def _hull_facets(p: EdgePolytope) -> tuple[FacetInequality, ...]:
     """
     if p.dim < 1:
         return ()
-    order, rays = p._cone
     n = len(rays)
     masks = [((1 << n) - 1) ^ (1 << k) for k in range(n)]
     edges = [p.graph.edges[e] for e in order]

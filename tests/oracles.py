@@ -12,8 +12,10 @@ counts by the classical recurrence, stable colors one vertex at a time on
 bit masks, automorphisms over all n! permutations, and connected graphs by
 canonicalising every child of every parent one at a time, components and
 2-colorings by breadth-first search over neighbour sets, and the odd cycle
-condition pair by pair over vertex sets. The rational elimination helpers are
-standalone so the rational oracles share nothing with the package
+condition pair by pair over vertex sets. One standalone rational kernel,
+`frac_rref`, serves every exact oracle: ranks, null-space functionals,
+Caratheodory solves and the basis-cone references all read its reduced rows
+and pivot columns, so the rational oracles share nothing with the package
 implementation.
 """
 
@@ -195,13 +197,15 @@ def has_odd_cycle(g: Graph) -> bool:
 # Exact rational elimination (standalone)
 # ---------------------------------------------------------------------------
 
-def frac_rank(rows) -> int:
+def frac_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """(reduced rows, pivot columns) of a rational matrix, by Gauss-Jordan
+    elimination left to right: each pivot is 1 and the only nonzero entry of
+    its column, rows past the last pivot are zero, and a column is a pivot
+    exactly when it is not in the span of the columns before it."""
     mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for col in range(ncols):
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
@@ -211,29 +215,15 @@ def frac_rank(rows) -> int:
         for i in range(len(mat)):
             if i != r and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        if len(pivots) == len(mat):
             break
-    return r
+    return mat, pivots
 
 
-def frac_solve_square(matrix, rhs):
-    """Solve an s x s rational system; None when singular."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def frac_rank(rows) -> int:
+    return len(frac_rref(rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -243,64 +233,31 @@ def frac_solve_square(matrix, rhs):
 def caratheodory_member(vertices, q: int, point) -> bool:
     """Is point / q a convex combination of the vertices?
 
-    Checked by solving the barycentric system over every affinely independent
-    vertex subset of size at most dim + 1.
+    One RREF of the system [(v_k, 1) columns | (point / q, 1)] per vertex
+    subset of size at most dim + 1: the subset holds point / q when its
+    columns are exactly the pivots, so the solution is unique, and it is >= 0.
     """
     d = len(vertices[0])
     target = [Fraction(x, q) for x in point] + [Fraction(1)]
-    maxsize = min(len(vertices), d + 1)
-    for size in range(1, maxsize + 1):
+    for size in range(1, min(len(vertices), d + 1) + 1):
         for sub in combinations(vertices, size):
             cols = [list(v) + [1] for v in sub]
-            # equations: sum_k lam_k * cols[k] = target (d+1 equations)
-            eq_rows = [[Fraction(cols[k][i]) for k in range(size)] for i in range(d + 1)]
-            chosen: list[list[Fraction]] = []
-            chosen_rhs: list[Fraction] = []
-            for row, b in zip(eq_rows, target):
-                if len(chosen) == size:
-                    break
-                if frac_rank(chosen + [row]) > len(chosen):
-                    chosen.append(row)
-                    chosen_rhs.append(b)
-            if len(chosen) < size:
-                continue
-            sol = frac_solve_square(chosen, chosen_rhs)
-            if sol is None:
-                continue
-            good = all(
-                sum(r[k] * sol[k] for k in range(size)) == b
-                for r, b in zip(eq_rows, target)
-            )
-            if good and all(x >= 0 for x in sol):
+            red, pivots = frac_rref([[c[i] for c in cols] + [target[i]] for i in range(d + 1)])
+            if pivots == list(range(size)) and all(row[size] >= 0 for row in red[:size]):
                 return True
     return False
 
 
 def _functional_through(pts, vertices):
-    """An affine functional vanishing on pts and not on the hull of vertices."""
+    """An affine functional vanishing on pts and not on the hull of vertices,
+    read off the null space of the rows (p, 1)."""
     d = len(vertices[0])
-    ncols = d + 1
-    mat = [[Fraction(x) for x in p] + [Fraction(1)] for p in pts]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for free_col in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
+    red, pivots = frac_rref([list(p) + [1] for p in pts])
+    for free_col in (c for c in range(d + 1) if c not in pivots):
+        vec = [Fraction(0)] * (d + 1)
         vec[free_col] = Fraction(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][free_col]
+            vec[pc] = -red[i][free_col]
         vals = [sum(vec[k] * v[k] for k in range(d)) + vec[d] for v in vertices]
         if any(x != 0 for x in vals):
             return vec, vals

@@ -389,7 +389,7 @@ def test_negative_q_is_refused(call):
 
 
 @pytest.mark.parametrize("call", [lattice_count, interior_count, lattice_points,
-                                  interior_lattice_points])
+                                  interior_lattice_points, idp_points, hilbert_function])
 def test_q_over_max_is_refused(call):
     g = complete_graph(4)
     call(g, edgering.ehrhart.MAX_Q)

@@ -29,7 +29,7 @@ from edgering.polytope import (
     predicted_facets,
     primitive,
 )
-from oracles import bruteforce_facets, caratheodory_member, frac_rank, frac_solve_square
+from oracles import bruteforce_facets, caratheodory_member, frac_rank, frac_rref
 
 
 def test_vertices_and_dimension():
@@ -144,20 +144,27 @@ def test_predicted_equals_hull_beyond_digest_scope():
         assert hull == {f.normal for f in predicted_facets(g)}, spec
 
 
-def test_one_elimination_gives_the_initial_cone_d6():
-    # the basis edges come first in the DD's order, with one ray per basis
-    # edge, positive on it and 0 on the others; facets() drops the cone
+def test_initial_cone_is_read_off_the_basis_d6(monkeypatch):
+    # the DD receives the basis edges first in its order, with one ray per
+    # basis edge, positive on it and 0 on the others
+    received = []
+    real = edgering.polytope._hull_facets
+
+    def spy(p, order, rays):
+        received.append((order, rays))
+        return real(p, order, rays)
+
+    monkeypatch.setattr(edgering.polytope, "_hull_facets", spy)
     for n in range(2, 7):
         for g in connected_graphs(n):
-            p = edge_polytope.__wrapped__(g)  # uncached, so the cone is still held
-            order, rays = p._cone
+            p = edge_polytope.__wrapped__(g)  # uncached, so the DD runs here
+            order, rays = received.pop()
             assert sorted(order) == list(range(g.m))
+            assert list(order[:len(rays)]) == _basis_cone(g)[0]
             assert len(rays) == p.dim + 1
             for k in range(len(rays)):
                 vals = [_dot(r, p.vertices[order[k]]) for r in rays]
                 assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), g
-            p.facets()
-            assert p._cone is None
 
 
 BASIS_CONE_SPECS = [
@@ -171,30 +178,29 @@ BASIS_CONE_SPECS = [
 
 
 def test_basis_cone_matches_fraction_references():
-    # the basis is the left-to-right greedy of the rank, which stops at the
-    # rank of all edge vectors, and a non-bipartite graph's ray for basis
-    # edge k is the positive primitive multiple of the solution of
-    # V_B r = e_k, V_B the basis edge vectors as rows; a bipartite graph's
-    # ray is one representative modulo chi_L - chi_R, so it is held only to
-    # its values on the basis edges
+    # the basis is the left-to-right greedy one, the pivot columns of the
+    # RREF of the edge vectors as columns; a non-bipartite graph's ray for
+    # basis edge k is the positive primitive multiple of column k of V_B^-1,
+    # V_B the basis edge vectors as rows, read off the RREF of [V_B | I]; a
+    # bipartite graph's ray is one representative modulo chi_L - chi_R, so it
+    # is held only to its values on the basis edges
     graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
     for g in graphs + [make_family(spec) for spec in BASIS_CONE_SPECS]:
         verts = edge_polytope(g).vertices
         basis, rays = _basis_cone(g)
-        rank, greedy = frac_rank(verts), []
-        for e in range(g.m):
-            if len(greedy) == rank:
-                break
-            if frac_rank([verts[c] for c in greedy + [e]]) > len(greedy):
-                greedy.append(e)
-        assert basis == greedy, g
+        assert basis == frac_rref(list(zip(*verts)))[1], g
         rows = [verts[e] for e in basis]
-        for k, ray in enumerate(rays):
-            if is_bipartite(g) is None:
-                x = frac_solve_square(rows, [int(t == k) for t in range(len(basis))])
+        if is_bipartite(g) is None:
+            s = len(rows)
+            inverse, pivots = frac_rref([[*row, *(int(t == k) for t in range(s))]
+                                         for k, row in enumerate(rows)])
+            assert pivots == list(range(s)), g
+            for k, ray in enumerate(rays):
+                x = [row[s + k] for row in inverse]
                 scale = lcm(*(v.denominator for v in x))
                 assert ray == primitive(int(v * scale) for v in x), (g, k)
-            else:
+        else:
+            for k, ray in enumerate(rays):
                 vals = [_dot(ray, row) for row in rows]
                 assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), (g, k)
 
