@@ -32,11 +32,13 @@ time.
 h* packs every dilation it reads into one read-only float64 (d, R) stack per
 shape, cached for `_PACKED_SHAPES` shapes, and permutes the columns of G's
 facet matrix to the shape's layout; h.x is a sum over columns, so the counts
-are exact. One `_facet_min` call and one `np.add.reduceat` over the
-dilations' first rows count them all. Dilations that do not fit one block
-stream through the same stacks, so memory stays bounded by a block. This
-is the one place a count is taken: `lattice_count` and `interior_count` ask
-the same kernel for one dilation, the box or the all-positive slice. The
+are exact. One `_facet_min` call and one `np.bincount` over the owner
+dilation of each hit count them all. Under the default `ROW_BUDGET` h*'s
+dilations always fit one block: at most 10,945 rows (d = 9). Dilations that
+do not fit, and one dilation alone, stream the enumerator's blocks one
+dilation at a time, so memory stays bounded by a block. This is the one
+place a count is taken: `lattice_count` and `interior_count` ask the same
+kernel for one dilation, the box or the all-positive slice. The
 points themselves, behind `lattice_points`, `interior_lattice_points` and
 `check_idp`, come from the whole box in G's own columns, a route
 independent of the packed stacks.
@@ -176,15 +178,9 @@ def _pack(points: np.ndarray) -> np.ndarray:
     return points.astype(np.int64) @ weights
 
 
-def _unpack(codes: np.ndarray, d: int) -> list[tuple[int, ...]]:
-    out = []
-    for code in codes.tolist():
-        vec = []
-        for _ in range(d):
-            vec.append(code & 15)
-            code >>= 4
-        out.append(tuple(vec))
-    return out
+def _unpack(codes: np.ndarray, d: int) -> np.ndarray:
+    """The points of base-16 codes of d coordinates, as an int64 (N, d) array."""
+    return (codes[:, None] >> 4 * np.arange(d)) & 15
 
 
 @lru_cache(maxsize=16384)
@@ -286,13 +282,9 @@ def window_row_cost(g: Graph, q_max: int) -> int:
 def _shape_row_cost(d: int, sides: tuple[int, int] | None, q_max: int) -> int:
     """`window_row_cost` of every graph on d vertices, bipartite with these
     side sizes or not (None)."""
-    total = 0
-    for q in range(1, q_max + 1):
-        if sides is None:
-            total += math.comb(2 * q + d - 1, d - 1)
-        else:
-            total += math.prod(math.comb(q + s - 1, s - 1) for s in sides)
-    return total
+    # non-bipartite: the box without its cap q; bipartite: the box itself
+    return sum(_count(2 * q, d, 2 * q) if sides is None else _candidate_rows(d, sides, q, 0)
+               for q in range(1, q_max + 1))
 
 
 def _check_dilation(q: int) -> None:
@@ -333,53 +325,29 @@ def interior_lattice_points(g: Graph, q: int) -> set[tuple[int, ...]]:
     return set(map(tuple, pts[strict].tolist()))
 
 
-def _stacks(d: int, sides: tuple[int, int] | None, dilations: tuple[tuple[int, int], ...]):
-    """The candidates of the dilations (q, lo), in the layout of the shape,
-    as read-only float64 (d, R) stacks, one candidate per column: consecutive
-    enumerator blocks are joined while they fit _BLOCK_ROWS candidates, so
-    dilations that fit together make one stack. Each stack comes with a floor
-    per candidate, the lo of its dilation (a candidate counts where its facet
-    minimum is >= its floor: h.x is an integer, so >= 1 is > 0), the first
-    candidate of each nonempty part and the index of that part's dilation."""
+@lru_cache(maxsize=_PACKED_SHAPES)
+def _packed(d: int, sides: tuple[int, int] | None,
+            dilations: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...] | None:
+    """The candidates of the dilations (q, lo), in the layout of the shape, as
+    one read-only float64 (d, R) stack, one candidate per column, with the
+    floor and the owner of each candidate: the lo of its dilation (a
+    candidate counts where its facet minimum is >= its floor: h.x is an
+    integer, so >= 1 is > 0) and that dilation's index. None when the
+    dilations do not fit one block of _BLOCK_ROWS rows."""
+    rows = [_candidate_rows(d, sides, q, lo) for q, lo in dilations]
+    if sum(rows) > _BLOCK_ROWS:
+        return None
     cols = np.arange(d)
-    parts: list[np.ndarray] = []
-    owners: list[int] = []
-    rows = 0
-    for i, (q, lo) in enumerate(dilations):
-        for block in _shape_blocks(d, sides, cols, q, lo):
-            if parts and rows + len(block) > _BLOCK_ROWS:
-                yield _joined(parts, owners, dilations)
-                parts, owners, rows = [], [], 0
-            if len(block):
-                parts.append(block)
-                owners.append(i)
-                rows += len(block)
-    if parts:
-        yield _joined(parts, owners, dilations)
-
-
-def _joined(parts: list[np.ndarray], owners: list[int], dilations) -> tuple[np.ndarray, ...]:
-    """One stack of `_stacks`, from its enumerator blocks and their dilations."""
-    lengths = [len(part) for part in parts]
+    blocks = [block for q, lo in dilations for block in _shape_blocks(d, sides, cols, q, lo)]
+    owner = np.repeat(np.arange(len(dilations), dtype=np.uint8), rows)
     out = (
-        np.ascontiguousarray(np.concatenate(parts).T, dtype=np.float64),
-        np.repeat([float(dilations[i][1]) for i in owners], lengths),
-        np.array([0, *accumulate(lengths[:-1])]),
-        np.array(owners),
+        np.ascontiguousarray(np.concatenate(blocks).T, dtype=np.float64),
+        np.array([lo for _, lo in dilations], dtype=np.uint8)[owner],
+        owner,
     )
     for arr in out:
         arr.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=_PACKED_SHAPES)
-def _packed(d: int, sides: tuple[int, int] | None,
-            dilations: tuple[tuple[int, int], ...]) -> tuple[tuple[np.ndarray, ...], ...] | None:
-    """`_stacks` as one cached stack when the dilations fit one block of
-    _BLOCK_ROWS rows; None when they do not, and stream."""
-    if sum(_candidate_rows(d, sides, q, lo) for q, lo in dilations) > _BLOCK_ROWS:
-        return None
-    return tuple(_stacks(d, sides, dilations))
 
 
 def _dilation_counts(g: Graph, dilations: tuple[tuple[int, int], ...]) -> list[int]:
@@ -387,29 +355,34 @@ def _dilation_counts(g: Graph, dilations: tuple[tuple[int, int], ...]) -> list[i
     candidates, and |relint qP| when lo = 1, counted on the all-positive slice,
     which holds every relative-interior point (see `min_interior_q`).
 
-    The dilations are counted together, by one `_facet_min` call over the
-    packed stack of G's shape, with G's facet matrix permuted to its layout;
-    dilations that do not fit one block stream through the same stacks, and
-    so does one dilation alone, which leaves h*'s stacks in the cache.
+    Dilations that fit one block are counted together, by one `_facet_min`
+    call over the packed stack of G's shape, with G's facet matrix permuted
+    to its layout. Dilations that do not, and one dilation alone, which
+    leaves h*'s stacks in the cache, stream the enumerator's blocks one
+    dilation at a time.
     """
     for q, _ in dilations:
         _check_dilation(q)
     sides, order = _layout(g)
     h = _facet_matrix(g) if sides is None else _facet_matrix(g)[:, order]
-    stacks = _packed(g.d, sides, dilations) if len(dilations) > 1 else None
-    counts = np.zeros(len(dilations), dtype=np.int64)
-    for stack, floor, starts, owners in _stacks(g.d, sides, dilations) if stacks is None else stacks:
-        np.add.at(counts, owners, np.add.reduceat(_facet_min(h, stack.T) >= floor, starts))
-    return counts.tolist()
+    packed = _packed(g.d, sides, dilations) if len(dilations) > 1 else None
+    if packed is not None:
+        stack, floor, owner = packed
+        hits = _facet_min(h, stack.T) >= floor
+        return np.bincount(owner[hits], minlength=len(dilations)).tolist()
+    cols = np.arange(g.d)
+    return [sum(int(np.count_nonzero(_facet_min(h, block) >= lo))
+                for block in _shape_blocks(g.d, sides, cols, q, lo))
+            for q, lo in dilations]
 
 
 def lattice_count(g: Graph, q: int) -> int:
-    """|qP|, counted by the packed kernel on the box of candidates."""
+    """|qP|, counted by the count kernel on the box of candidates."""
     return _dilation_counts(g, ((q, 0),))[0]
 
 
 def interior_count(g: Graph, q: int) -> int:
-    """|relint qP|, counted by the packed kernel on the all-positive slice,
+    """|relint qP|, counted by the count kernel on the all-positive slice,
     which is empty at q = 0."""
     return _dilation_counts(g, ((q, 1),))[0]
 
@@ -437,7 +410,7 @@ def _idp_packed(g: Graph, q: int) -> np.ndarray:
 
 def idp_points(g: Graph, q: int) -> set[tuple[int, ...]]:
     """All distinct sums of q edge vectors (the degree-q monomial exponents)."""
-    return set(_unpack(_idp_packed(g, q), g.d))
+    return set(map(tuple, _unpack(_idp_packed(g, q), g.d).tolist()))
 
 
 def hilbert_function(g: Graph, q: int) -> int:

@@ -307,9 +307,6 @@ def two_triangles_path(ell: int) -> Graph:
     if ell < 1:
         raise ValueError("two_triangles_path(ell) needs ell >= 1")
     edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
-    if ell == 1:
-        edges.append((3, 4))
-        return Graph(6, tuple(sorted(edges)))
     d = 6 + ell - 1
     chain = [3] + list(range(7, 7 + ell - 1)) + [4]
     for a, b in zip(chain, chain[1:]):

@@ -138,7 +138,7 @@ def fibers(g: Graph, q: int) -> list[Fiber]:
     starts = np.flatnonzero(np.diff(fiber, prepend=0))
     bounds = starts.tolist() + [len(rows)]
     out = []
-    for multidegree, s, e in zip(_unpack(codes[starts], g.d), bounds, bounds[1:]):
+    for multidegree, s, e in zip(map(tuple, _unpack(codes[starts], g.d).tolist()), bounds, bounds[1:]):
         monos = tuple(sorted(tuple(edge for edge, c in zip(g.edges, expo[r].tolist())
                                    for _ in range(c)) for r in rows[s:e]))
         out.append(Fiber(multidegree, monos))

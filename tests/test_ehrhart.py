@@ -228,15 +228,17 @@ def test_reciprocity():
 
 def test_window_matches_brute_force_box_scan():
     # the homogenised facet kernel against exact per-facet tests, both point
-    # sets and both counts, for every connected graph on at most 5 vertices
+    # sets and both counts, for every connected graph on at most 5 vertices.
+    # The counts are Python ints, whose repr the window digest pins
     for n in range(2, 6):
         for g in connected_graphs(n):
             for q in range(1, edge_polytope(g).dim + 3):
                 points, interior = brute_window(g, q)
                 assert lattice_points(g, q) == points
                 assert interior_lattice_points(g, q) == interior
-                assert lattice_count(g, q) == len(points)
-                assert interior_count(g, q) == len(interior)
+                counts = lattice_count(g, q), interior_count(g, q)
+                assert counts == (len(points), len(interior))
+                assert all(type(c) is int for c in counts)
 
 
 def test_origin_and_the_facetless_polytope():
@@ -573,6 +575,26 @@ def test_split_of_every_shape():
     assert _split(9, 8, None) == (3, 8)
 
 
+def test_h_star_stacks_of_every_admitted_shape_fit_one_block():
+    # every shape with dim >= 1 that the row budget admits to h*, bipartite
+    # ones in both side orders, packs h*'s dilations into one cached stack:
+    # under the default budget h* never streams
+    admitted = []
+    for d in range(3, 17):
+        for sides, dim in [(None, d - 1), *(((k, d - k), d - 2) for k in range(1, d))]:
+            if edgering.ehrhart._shape_row_cost(d, sides, dim + 2) > edgering.ehrhart.ROW_BUDGET:
+                continue
+            a, b = _split(d, dim, sides)
+            dilations = (*((q, 0) for q in range(a + 1)),
+                         *((q, 1) for q in range((d + 1) // 2, b + 1)))
+            assert edgering.ehrhart._packed(d, sides, dilations) is not None, (d, sides)
+            admitted.append((sum(edgering.ehrhart._candidate_rows(d, sides, q, lo)
+                                 for q, lo in dilations), d, sides))
+    edgering.ehrhart._packed.cache_clear()
+    assert len(admitted) == 61 and max(d for _, d, _ in admitted) == 13
+    assert max(admitted, key=lambda shape: shape[0]) == (10_945, 9, None)
+
+
 def test_compositions_match_uncapped_recursion():
     # keying the cache on min(cap, total) moves no row: every table equals
     # the recursion that keeps the cap as given, dtype and row order included
@@ -601,10 +623,10 @@ def _packed_count_graphs():
 @pytest.mark.parametrize("rows", [edgering.ehrhart._BLOCK_ROWS, 50], ids=["real", "small"])
 def test_packed_counts_match_per_dilation_counts(block_rows, rows):
     # every lattice count and slice count up to dim + 2, from one call of the
-    # packed kernel, against the points of the whole box in G's own columns.
-    # path(8)'s dilations do not fit one real block and stream; fifty-row
-    # blocks make most graphs stream and join the blocks of several
-    # dilations into one stack. The points are taken at the real block size
+    # count kernel, against the points of the whole box in G's own columns.
+    # path(8)'s dilations do not fit one real block and stream; with
+    # fifty-row blocks most graphs stream, block by block and one dilation at
+    # a time. The points are taken at the real block size
     wants = []
     for g in _packed_count_graphs():
         top = edge_polytope(g).dim + 2

@@ -239,6 +239,13 @@ def test_polytope_digests_equal_the_pinned_ones():
     assert output_digests._predicted_digest() == output_digests.PINNED["predicted"]
 
 
+def test_toric_and_families_digests_equal_the_pinned_ones():
+    # the toric line pins `fibers`, whose multidegrees are decoded from
+    # base-16 codes, and the families line pins the two_triangles_path sweep
+    assert output_digests._toric_digest() == output_digests.PINNED["toric"]
+    assert output_digests._families_digest() == output_digests.PINNED["families"]
+
+
 def test_primitive():
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-4, 6, 0)) == (-2, 3, 0)
