@@ -255,7 +255,15 @@ def _hull_facets(p: EdgePolytope, order: tuple[int, ...], rays: list[tuple[int, 
                 )
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    facets = sorted((canonical_inequality(p, r, "hull") for r in rays), key=lambda f: f.normal)
+    if len(p.hull_equations) > 1:
+        facets = [canonical_inequality(p, r, "hull") for r in rays]
+    elif all(map(any, rays)):
+        # already canonical: the initial rays hold a +1 and every combination
+        # was made primitive
+        facets = [FacetInequality(r, "hull") for r in rays]
+    else:
+        raise InvariantViolationError("double description produced a vanishing ray")
+    facets.sort(key=lambda f: f.normal)
     if len({f.normal for f in facets}) != len(facets):
         raise InvariantViolationError("double description produced a facet twice")
     return tuple(facets)

@@ -4,12 +4,15 @@ The defining ideal is spanned in each degree by differences of monomials
 sharing a multidegree (a fiber). A relation u - v lies in the subideal
 generated below degree q exactly when u and v are linked by moves that cancel
 a common variable, so a fiber contributes its number of gcd-connectivity
-components minus one minimal generators. One pass per degree counts them for
-every fiber at once: base-16 multidegree codes, one sort, and the components
-of one graph linking the monomials of a fiber that share an edge variable.
-The tests check it against a fiber-by-fiber search (tests/oracles.py) and
-exact linear algebra. Results are certified only up to the degree bound,
-which the profile records.
+components minus one minimal generators. The monomials are walked one degree
+at a time, each level a few gathers of the one below, and every row carries
+its base-16 multidegree code and the bits of the edge variables it uses; no
+exponent table is built. One pass per degree then counts the generators of
+every fiber at once: one sort of the codes, and the components of one graph
+linking the monomials of a fiber that share an edge variable. The tests check
+it against a fiber-by-fiber search (tests/oracles.py) and exact linear
+algebra. Results are certified only up to the degree bound, which the profile
+records.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrhart import MAX_Q, BudgetExceededError, _compositions, _radix_weights, _unpack
+from .ehrhart import MAX_Q, BudgetExceededError, _radix_weights, _unpack
 from .graphs import Graph
 from .polytope import InvariantViolationError
 
@@ -68,24 +71,60 @@ def _guard(g: Graph, q: int, budget: int) -> None:
         raise BudgetExceededError(f"degree {q} exceeds the supported bound {MAX_Q}")
 
 
-def _shared_fibers(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(expo, rows, codes, fiber): all degree-q exponent vectors, the indices
-    of those sharing their multidegree sorted by its base-16 code, the codes,
-    and fiber numbers 1, 2, ... along `rows`. Coordinates are at most q."""
-    expo = _compositions(q, g.m, q)
-    weights = _radix_weights(g.d, q)
-    codes = np.zeros(len(expo), dtype=np.int64)
-    for k, (i, j) in enumerate(g.edges):
-        # column by column, as `expo @ deltas` would cast all of expo to int64;
-        # int64 before the product, which numpy 1 would size by the weight
-        codes += expo[:, k].astype(np.int64) * (weights[i - 1] + weights[j - 1])
+def _levels(g: Graph, q_max: int):
+    """Levels 1..q_max of the edge multisets, one degree at a time: for each
+    row its base-16 multidegree code and its edge-support bits, (N, W) words
+    of 64 bits with bit k % 64 of word k // 64 set when edge variable k
+    divides it.
+
+    A degree-q multiset is a degree-(q-1) one times an edge variable k at or
+    after its last variable. Rows are grouped by last variable, so the rows
+    that k extends are a prefix of the level below, `prefix[k]` long, and a
+    level is a few gathers of the one below. At most two levels are held.
+    """
+    weights = _radix_weights(g.d, q_max)
+    deltas = np.array([weights[i - 1] + weights[j - 1] for i, j in g.edges], dtype=np.int64)
+    bits = np.zeros((g.m, -(-g.m // 64)), dtype=np.uint64)
+    for k in range(g.m):
+        bits[k, k // 64] = 1 << (k % 64)
+    codes = np.zeros(1, dtype=np.int64)
+    supp = np.zeros((1, bits.shape[1]), dtype=np.uint64)
+    prefix = np.ones(g.m, dtype=np.int64)
+    for _ in range(q_max):
+        starts = np.cumsum(prefix) - prefix
+        parent = np.arange(int(prefix.sum())) - np.repeat(starts, prefix)
+        codes = codes[parent] + np.repeat(deltas, prefix)
+        supp = supp[parent] | np.repeat(bits, prefix, axis=0)
+        prefix = np.cumsum(prefix)
+        yield codes, supp
+
+
+def _multisets(m: int, q: int, rows: np.ndarray) -> np.ndarray:
+    """The edge variables of the level-q `rows` of `_levels`, as an (N, q)
+    array nondecreasing along each row: each step down a row's parent chain
+    reads its last variable off the group it falls in."""
+    prefixes = [np.ones(m, dtype=np.int64)]
+    for _ in range(q - 1):
+        prefixes.append(np.cumsum(prefixes[-1]))
+    out = np.empty((len(rows), q), dtype=np.int64)
+    for t in range(q - 1, -1, -1):
+        ends = np.cumsum(prefixes[t])
+        out[:, t] = np.searchsorted(ends, rows, side="right")
+        rows = rows - (ends - prefixes[t])[out[:, t]]
+    return out
+
+
+def _shared_fibers(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, codes, fiber): the indices of a level's rows sharing their
+    multidegree sorted by its base-16 code, those codes, and fiber numbers
+    1, 2, ... along `rows`."""
     order = np.argsort(codes)
     codes = codes[order]
     first = np.ones(len(codes), dtype=bool)
     first[1:] = codes[1:] != codes[:-1]
     shared = ~first
     shared[:-1] |= ~first[1:]
-    return expo, order[shared], codes[shared], np.cumsum(first[shared])
+    return order[shared], codes[shared], np.cumsum(first[shared])
 
 
 def _components(a: np.ndarray, b: np.ndarray, n: int) -> int:
@@ -114,16 +153,20 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> int:
     return int(np.count_nonzero(label == np.arange(n)))
 
 
-def _generator_count(g: Graph, q: int) -> int:
-    """Minimal generators at degree q: the gcd-connectivity components of all
-    shared fibers, minus the number of shared fibers."""
-    expo, rows, _, fiber = _shared_fibers(g, q)
+def _generator_count(m: int, codes: np.ndarray, supp: np.ndarray) -> int:
+    """Minimal generators at the degree of one level of `_levels`: the
+    gcd-connectivity components of all shared fibers, minus the number of
+    shared fibers."""
+    rows, _, fiber = _shared_fibers(codes)
+    words = np.ascontiguousarray(supp[rows].T)
+    index = np.min_scalar_type(len(rows))
     a, b = [], []
-    for k in range(g.m):
+    for k in range(m):
         # the shared monomials using edge variable k, in fiber order; links
         # between neighbours in the same fiber join all of them
-        uses = np.flatnonzero(expo[rows, k]).astype(np.min_scalar_type(len(rows)))
-        same = fiber[uses[1:]] == fiber[uses[:-1]]
+        uses = np.flatnonzero(words[k // 64] & np.uint64(1 << (k % 64))).astype(index)
+        within = fiber[uses]
+        same = within[1:] == within[:-1]
         a.append(uses[:-1][same])
         b.append(uses[1:][same])
     return _components(np.concatenate(a), np.concatenate(b), len(rows)) - int(fiber.max(initial=0))
@@ -134,14 +177,15 @@ def fibers(g: Graph, q: int) -> list[Fiber]:
     if q < 1:
         raise ValueError("q must be >= 1")
     _guard(g, q, DEFAULT_MONOMIAL_BUDGET)
-    expo, rows, codes, fiber = _shared_fibers(g, q)
+    for codes, _ in _levels(g, q):
+        pass
+    rows, codes, fiber = _shared_fibers(codes)
+    monomials = [tuple(g.edges[k] for k in ks) for ks in _multisets(g.m, q, rows).tolist()]
     starts = np.flatnonzero(np.diff(fiber, prepend=0))
     bounds = starts.tolist() + [len(rows)]
-    out = []
-    for multidegree, s, e in zip(map(tuple, _unpack(codes[starts], g.d).tolist()), bounds, bounds[1:]):
-        monos = tuple(sorted(tuple(edge for edge, c in zip(g.edges, expo[r].tolist())
-                                   for _ in range(c)) for r in rows[s:e]))
-        out.append(Fiber(multidegree, monos))
+    out = [Fiber(multidegree, tuple(sorted(monomials[s:e])))
+           for multidegree, s, e in zip(map(tuple, _unpack(codes[starts], g.d).tolist()),
+                                        bounds, bounds[1:])]
     out.sort(key=lambda f: f.multidegree)
     return out
 
@@ -159,5 +203,10 @@ def minimal_generator_degrees(
         raise ValueError("q_max must be >= 2")
     for q in range(2, q_max + 1):
         _guard(g, q, budget)
-    degrees = [q for q in range(2, q_max + 1) for _ in range(_generator_count(g, q))]
+    for q in range(2, q_max + 1):
+        _radix_weights(g.d, q)  # names the first degree whose codes leave int64
+    degrees = []
+    for q, (codes, supp) in enumerate(_levels(g, q_max), 1):
+        if q > 1:
+            degrees += [q] * _generator_count(g.m, codes, supp)
     return GeneratorProfile(tuple(degrees), q_max)

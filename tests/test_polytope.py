@@ -23,6 +23,7 @@ from edgering.polytope import (
     InvariantViolationError,
     _basis_cone,
     _dot,
+    _hull_facets,
     canonical_inequality,
     contains,
     edge_polytope,
@@ -165,6 +166,18 @@ def test_initial_cone_is_read_off_the_basis_d6(monkeypatch):
             for k in range(len(rays)):
                 vals = [_dot(r, p.vertices[order[k]]) for r in rays]
                 assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), g
+
+
+def test_hull_facets_reject_a_vanishing_ray():
+    # a non-bipartite graph's DD rays become facets as they are; a ray that
+    # vanishes on every edge vector is still refused
+    g = complete_graph(4)
+    p = edge_polytope(g)
+    basis, rays = _basis_cone(g)
+    order = tuple(basis + [e for e in range(g.m) if e not in basis])
+    assert _hull_facets(p, order, rays) == p.facets()
+    with pytest.raises(InvariantViolationError, match="vanishing ray"):
+        _hull_facets(p, order, [(0,) * g.d] + rays[1:])
 
 
 BASIS_CONE_SPECS = [

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from edgering import toric
-from edgering.ehrhart import BudgetExceededError, hilbert_function
+from edgering.analysis import analyze
+from edgering.ehrhart import BudgetExceededError, _capped_compositions, hilbert_function
 from edgering.enumeration import connected_graphs
 from edgering.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    path_graph,
     two_triangles_path,
 )
 from edgering.normality import is_normal
@@ -46,11 +48,27 @@ def test_fiber_codes_are_exact():
     # a narrower type the codes wrap silently and distinct fibers merge
     bridge = Graph.of(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (5, 8)])
     for g, q, narrow in [(complete_graph(4), 9, 2 ** 15), (bridge, 9, 2 ** 31)]:
-        expo, rows, codes, _ = toric._shared_fibers(g, q)
+        for level, _ in toric._levels(g, q):
+            pass
+        rows, codes, _ = toric._shared_fibers(level)
+        expo = [[row.count(k) for k in range(g.m)] for row in toric._multisets(g.m, q, rows).tolist()]
         terms = [[e * (16 ** (i - 1) + 16 ** (j - 1)) for e, (i, j) in zip(row, g.edges)]
-                 for row in expo[rows].tolist()]
+                 for row in expo]
         assert max(max(t) for t in terms) >= narrow
         assert codes.tolist() == [sum(t) for t in terms]
+
+
+def test_levels_enumerate_each_multiset_once():
+    # level q holds every degree-q edge multiset exactly once, and its
+    # support bits are the edges it uses
+    for g, q_max in [(cycle_graph(5), 4), (two_triangles_path(1), 3)]:
+        for q, (codes, supp) in enumerate(toric._levels(g, q_max), 1):
+            ks = toric._multisets(g.m, q, np.arange(len(codes)))
+            assert len(codes) == math.comb(g.m + q - 1, q)
+            assert len({tuple(row) for row in ks.tolist()}) == len(codes)
+            assert (np.diff(ks, axis=1) >= 0).all()
+            for row, bits in zip(ks.tolist(), supp.tolist()):
+                assert {k for k in range(g.m) if bits[k // 64] >> (k % 64) & 1} == set(row)
 
 
 def test_minimal_generator_degrees_examples():
@@ -146,13 +164,40 @@ def test_budget_refuses_before_counting_any_degree(monkeypatch):
     # K7 has 21 edges: degree 2 needs C(22, 2) = 231 multisets and degree 3
     # needs C(23, 3) = 1771; C4 at degree 16 needs only C(19, 16) = 969
     counted = []
-    monkeypatch.setattr(toric, "_generator_count", lambda g, q: counted.append(q) or 0)
+    monkeypatch.setattr(toric, "_generator_count", lambda *level: counted.append(level) or 0)
     message = "degree 3 needs 1771 edge multisets, over the budget 1000"
     with pytest.raises(BudgetExceededError, match=f"^{message}$"):
         minimal_generator_degrees(complete_graph(7), 12, budget=1000)
     with pytest.raises(BudgetExceededError, match="^degree 16 exceeds the supported bound 15$"):
         minimal_generator_degrees(cycle_graph(4), 16)
     assert counted == []
+
+
+def test_code_overflow_names_the_first_failing_degree():
+    # 17 vertices: base-16 codes leave int64 at every degree, and the message
+    # names the first one counted, which analyze copies into its notes
+    report = analyze(path_graph(17), run_toric=True, toric_qmax=3)
+    assert report.generator_profile is None
+    assert "toric analysis aborted: base-16 codes of 17 coordinates up to 2 do not fit in int64" \
+        in report.notes
+    with pytest.raises(BudgetExceededError, match="^base-16 codes of 16 coordinates up to 8 do not"):
+        minimal_generator_degrees(path_graph(16), 9)
+
+
+def test_support_bits_past_one_word():
+    # K12 has 66 edge variables, two words of support bits
+    g = complete_graph(12)
+    assert g.m == 66
+    degrees = minimal_generator_degrees(g, 3).degrees
+    assert degrees.count(2) == fiber_generator_count(g, 2) == 990
+    assert degrees.count(3) == fiber_generator_count(g, 3) == 0
+
+
+def test_toric_route_builds_no_composition_tables():
+    before = _capped_compositions.cache_info().currsize
+    minimal_generator_degrees(two_triangles_path(3), 7)
+    fibers(cycle_graph(6), 4)
+    assert _capped_compositions.cache_info().currsize == before
 
 
 def test_mat_vs_reg_gap_grows():
