@@ -29,29 +29,29 @@ thread, while larger ones could start a second BLAS thread that spins
 against the Python thread, which on two cores cost both CPU time and wall
 time.
 
-h* packs every dilation it reads into one read-only float64 (d, R) stack per
-shape, cached for `_PACKED_SHAPES` shapes, and permutes the columns of G's
-facet matrix to the shape's layout; h.x is a sum over columns, so the counts
-are exact. One `_facet_min` call and one `np.bincount` over the owner
-dilation of each hit count them all. Under the default `ROW_BUDGET` h*'s
-dilations always fit one block: at most 10,945 rows (d = 9). Dilations that
-do not fit, and one dilation alone, stream the enumerator's blocks one
-dilation at a time, so memory stays bounded by a block. This is the one
-place a count is taken: `lattice_count` and `interior_count` ask the same
-kernel for one dilation, the box or the all-positive slice. The
-points themselves, behind `lattice_points`, `interior_lattice_points` and
-`check_idp`, come from the whole box in G's own columns, a route
-independent of the packed stacks.
+h* reads one fixed window per shape, packed into one read-only float64
+(d, R) stack cached for `_PACKED_SHAPES` shapes, and permutes the columns of
+G's facet matrix to the shape's layout; h.x is a sum over columns, so the
+counts are exact. `_window_counts` counts the whole window with one
+`_facet_min` call and one `np.bincount` over the count each hit belongs to.
+Under the default `ROW_BUDGET` the window always fits one block: at most
+10,945 rows (d = 9). A window that does not fit is streamed one count at a
+time through `lattice_count` and `interior_count`, which take one dilation,
+the box or the all-positive slice, in G's own columns against G's own facet
+matrix, so memory stays bounded by a block. The points themselves, behind
+`lattice_points`, `interior_lattice_points` and `check_idp`, come from the
+whole box in G's own columns, a route independent of the packed stacks.
 
 The h*-vector is the numerator of the Ehrhart series, sum |qP| t^q =
 h*(t) / (1 - t)^(dim + 1). `h_star` reads h* from both ends with one
 convolution: the lattice counts at q <= a give h*_0..h*_a, and the interior
 counts at q <= b, which Ehrhart reciprocity makes the same series read from
 the top, give h*_(dim + 1 - b)..h*_(dim + 1). Interior points are
-all-positive, so the interior counts scan only the small all-positive slice,
-and the split (a, b) with the fewest candidate rows is usually a = 3,
-b = dim. Where the two ends overlap or leave 0..dim they must agree or be 0:
-4 equations, checked on every graph.
+all-positive, so the interior counts scan only the small all-positive slice.
+The window is fixed, b = min(dim, MAX_Q) and a = dim + 3 - b: a = 3 and
+b = dim up to dim = 15, and h* reaches dim = 27. Where the two ends overlap
+or leave 0..dim they must agree or be 0: 4 equations, checked on every
+graph.
 
 Coordinates in a dilation q*P are bounded by q <= 15, so points are packed
 into single integers base 16 for deduplication; `_radix_weights` is the one
@@ -65,7 +65,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -186,15 +185,15 @@ def _unpack(codes: np.ndarray, d: int) -> np.ndarray:
 @lru_cache(maxsize=16384)
 def _facet_matrix(g: Graph) -> np.ndarray:
     """The facet normals h of P, h.x >= 0 on every dilation, as the rows of a
-    matrix H, so one H serves every q; h* reads it with its columns permuted
-    to the layout of G's shape, which changes no h.x."""
+    matrix H, so one H serves every q; h*'s packed window reads it with its
+    columns permuted to the layout of G's shape, which changes no h.x."""
     fs = edge_polytope(g).facets()
     h = np.array([f.normal for f in fs], dtype=np.int64).reshape(-1, g.d)
-    # the points and the packed stacks validate q <= MAX_Q, and the interior
-    # search stops at q = dim + 1, so with 0 <= x <= max(MAX_Q, dim + 1)
-    # every partial sum of H @ x is an integer of magnitude below 2**53: the
-    # float64 product is exact, in any column order and however the
-    # candidates are split between products
+    # the points, the counts and h*'s window validate q <= MAX_Q, and the
+    # interior search stops at q = dim + 1, so with 0 <= x <= max(MAX_Q,
+    # dim + 1) every partial sum of H @ x is an integer of magnitude below
+    # 2**53: the float64 product is exact, in any column order and however
+    # the candidates are split between products
     top = max(MAX_Q, edge_polytope(g).dim + 1)
     if int(np.abs(h).max(initial=0)) * top * g.d >= 1 << 53:
         raise BudgetExceededError(
@@ -325,66 +324,81 @@ def interior_lattice_points(g: Graph, q: int) -> set[tuple[int, ...]]:
     return set(map(tuple, pts[strict].tolist()))
 
 
+def _window(d: int, sides: tuple[int, int] | None) -> tuple[int, int]:
+    """(a, b): `h_star` reads lattice counts at q <= a and interior counts at
+    q <= b on every connected graph on d vertices, bipartite with these side
+    sizes or not (None), whose P has dim = d - 2 if bipartite, else d - 1.
+    b = min(dim, MAX_Q) and a = dim + 3 - b leave a + b + 1 - dim = 4 spare reciprocity
+    equations; beyond dim = 27, a > MAX_Q raises BudgetExceededError."""
+    dim = d - 1 if sides is None else d - 2
+    b = min(dim, MAX_Q)
+    _check_dilation(dim + 3 - b)
+    return dim + 3 - b, b
+
+
 @lru_cache(maxsize=_PACKED_SHAPES)
-def _packed(d: int, sides: tuple[int, int] | None,
-            dilations: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...] | None:
-    """The candidates of the dilations (q, lo), in the layout of the shape, as
+def _packed(d: int, sides: tuple[int, int] | None) -> tuple[np.ndarray, ...] | None:
+    """h*'s window of a shape (see `_window`), the box at q = 0..a and the
+    all-positive slice at q = ceil(d/2)..b, in the layout of the shape, as
     one read-only float64 (d, R) stack, one candidate per column, with the
     floor and the owner of each candidate: the lo of its dilation (a
     candidate counts where its facet minimum is >= its floor: h.x is an
-    integer, so >= 1 is > 0) and that dilation's index. None when the
-    dilations do not fit one block of _BLOCK_ROWS rows."""
+    integer, so >= 1 is > 0) and the index of its count in `_window_counts`,
+    q in the box and a + 1 + q in the slice. None when the window does not
+    fit one block of _BLOCK_ROWS rows."""
+    a, b = _window(d, sides)
+    dilations = [*((q, 0) for q in range(a + 1)), *((q, 1) for q in range((d + 1) // 2, b + 1))]
     rows = [_candidate_rows(d, sides, q, lo) for q, lo in dilations]
     if sum(rows) > _BLOCK_ROWS:
         return None
     cols = np.arange(d)
     blocks = [block for q, lo in dilations for block in _shape_blocks(d, sides, cols, q, lo)]
-    owner = np.repeat(np.arange(len(dilations), dtype=np.uint8), rows)
     out = (
         np.ascontiguousarray(np.concatenate(blocks).T, dtype=np.float64),
-        np.array([lo for _, lo in dilations], dtype=np.uint8)[owner],
-        owner,
+        np.repeat(np.array([lo for _, lo in dilations], dtype=np.uint8), rows),
+        np.repeat(np.array([q + lo * (a + 1) for q, lo in dilations], dtype=np.uint8), rows),
     )
     for arr in out:
         arr.setflags(write=False)
     return out
 
 
-def _dilation_counts(g: Graph, dilations: tuple[tuple[int, int], ...]) -> list[int]:
-    """For each dilation (q, lo): |qP| when lo = 0, counted on the box of
-    candidates, and |relint qP| when lo = 1, counted on the all-positive slice,
-    which holds every relative-interior point (see `min_interior_q`).
-
-    Dilations that fit one block are counted together, by one `_facet_min`
-    call over the packed stack of G's shape, with G's facet matrix permuted
-    to its layout. Dilations that do not, and one dilation alone, which
-    leaves h*'s stacks in the cache, stream the enumerator's blocks one
-    dilation at a time.
-    """
-    for q, _ in dilations:
-        _check_dilation(q)
+def _window_counts(g: Graph) -> tuple[list[int], list[int]]:
+    """h*'s window of G: |qP| at q = 0..a and |relint qP| at q = 0..b, for
+    the (a, b) of `_window`. One `_facet_min` call over the packed stack of
+    G's shape, with G's facet matrix permuted to its layout, and one
+    `np.bincount` count it; a window that does not fit one block is streamed
+    one count at a time."""
     sides, order = _layout(g)
-    h = _facet_matrix(g) if sides is None else _facet_matrix(g)[:, order]
-    packed = _packed(g.d, sides, dilations) if len(dilations) > 1 else None
-    if packed is not None:
-        stack, floor, owner = packed
-        hits = _facet_min(h, stack.T) >= floor
-        return np.bincount(owner[hits], minlength=len(dilations)).tolist()
-    cols = np.arange(g.d)
-    return [sum(int(np.count_nonzero(_facet_min(h, block) >= lo))
-                for block in _shape_blocks(g.d, sides, cols, q, lo))
-            for q, lo in dilations]
+    a, b = _window(g.d, sides)
+    packed = _packed(g.d, sides)
+    if packed is None:
+        return ([lattice_count(g, q) for q in range(a + 1)],
+                [interior_count(g, q) for q in range(b + 1)])
+    stack, floor, owner = packed
+    hits = _facet_min(_facet_matrix(g)[:, order], stack.T) >= floor
+    counts = np.bincount(owner[hits], minlength=a + b + 2).tolist()
+    return counts[:a + 1], counts[a + 1:]
+
+
+def _streamed_count(g: Graph, q: int, lo: int) -> int:
+    """The candidates of `_candidate_blocks(g, q, lo)` whose facet minimum is
+    >= lo, streamed one block at a time against G's facet matrix."""
+    _check_dilation(q)
+    h = _facet_matrix(g)
+    return sum(int(np.count_nonzero(_facet_min(h, block) >= lo))
+               for block in _candidate_blocks(g, q, lo))
 
 
 def lattice_count(g: Graph, q: int) -> int:
-    """|qP|, counted by the count kernel on the box of candidates."""
-    return _dilation_counts(g, ((q, 0),))[0]
+    """|qP|, counted on the box of candidates."""
+    return _streamed_count(g, q, 0)
 
 
 def interior_count(g: Graph, q: int) -> int:
-    """|relint qP|, counted by the count kernel on the all-positive slice,
-    which is empty at q = 0."""
-    return _dilation_counts(g, ((q, 1),))[0]
+    """|relint qP|, counted on the all-positive slice, which holds every
+    relative-interior point (see `min_interior_q`) and is empty at q = 0."""
+    return _streamed_count(g, q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -505,29 +519,6 @@ def _candidate_rows(d: int, sides: tuple[int, int] | None, q: int, lo: int) -> i
 
 
 @lru_cache(maxsize=None)
-def _split(d: int, dim: int, sides: tuple[int, int] | None) -> tuple[int, int]:
-    """(a, b): `h_star` reads lattice counts at q <= a and interior counts at
-    q <= b, with a + b + 1 - dim = 4 spare reciprocity equations and the fewest
-    candidate rows, ties to the least a. A lattice count at q >= 1 scans the
-    box, an interior count at 2q >= d the all-positive slice; the interior
-    counts at 2q < d are 0 with no scan. Both ends stay at or below
-    min(dim + 2, MAX_Q). The split depends only on the shape: d, dim and the
-    side sizes of a bipartite G (None otherwise)."""
-    top = min(dim + 2, MAX_Q)
-    qs = range(1, top + 1)
-    # box[a]: rows of the lattice counts at q <= a; positive[b]: of the
-    # interior counts at q <= b
-    box = [0, *accumulate(_candidate_rows(d, sides, q, 0) for q in qs)]
-    positive = [0, *accumulate(_candidate_rows(d, sides, q, 1) if 2 * q >= d else 0 for q in qs)]
-    splits = [(box[a] + positive[dim + 3 - a], a, dim + 3 - a)
-              for a in range(dim + 3 - top, top + 1)]
-    if not splits:
-        raise BudgetExceededError(f"no split of h* for dim {dim} within dilation {MAX_Q}")
-    _, a, b = min(splits)
-    return a, b
-
-
-@lru_cache(maxsize=None)
 def _signed_binomials(dim: int) -> tuple[int, ...]:
     """(-1)^j C(dim + 1, j), j = 0..dim + 1: the coefficients of (1 - t)^(dim + 1)."""
     return tuple((-1) ** j * math.comb(dim + 1, j) for j in range(dim + 2))
@@ -563,17 +554,17 @@ def h_star(g: Graph) -> tuple[int, ...]:
     t^(dim + 1) h*(1/t) / (1 - t)^(dim + 1), so the same convolution reads
     h*_(dim + 1) down to h*_(dim + 1 - b) off the counts at q <= b. The
     lattice counts scan the whole box of candidates; the interior counts
-    scan only its all-positive slice, and are 0 with no scan when 2q < d.
-    `_dilation_counts` counts them all at once, on the packed stack of G's
-    shape. `_split` picks (a, b) per shape, with the fewest candidate rows. Every
-    index both ends name must agree, and every index outside 0..dim must be
-    0: a + b + 1 - dim = 4 equations beyond the dim + 1 entries; a failure
-    raises InvariantViolationError. h*_0 = 1 and nonnegativity are enforced
-    as runtime diagnostics.
+    scan only its all-positive slice, which is empty when 2q < d. The
+    window is fixed by dim, b = min(dim, MAX_Q) and a = dim + 3 - b (see
+    `_window`), and `_window_counts` counts it all at once, on the packed
+    stack of G's shape. Every index both ends name must agree, and every
+    index outside 0..dim must be 0: a + b + 1 - dim = 4 equations beyond the
+    dim + 1 entries; a failure raises InvariantViolationError. h*_0 = 1 and
+    nonnegativity are enforced as runtime diagnostics.
 
     This is the one place the row budget is read: before any count,
     BudgetExceededError is raised when window_row_cost(g, dim + 2) exceeds
-    it.
+    it, or when dim > 27 puts a beyond MAX_Q.
     """
     if not is_normal(g):
         raise NotNormalError("h* is computed for normal edge rings only")
@@ -584,11 +575,8 @@ def h_star(g: Graph) -> tuple[int, ...]:
         raise BudgetExceededError(
             f"enumeration of {cost} candidate rows exceeds the budget {budget}"
         )
-    a, b = _split(g.d, dim, sides)
-    dilations = (*((q, 0) for q in range(a + 1)), *((q, 1) for q in range((g.d + 1) // 2, b + 1)))
-    counts = dict(zip(dilations, _dilation_counts(g, dilations)))
-    low = _numerator([counts[q, 0] for q in range(a + 1)], dim)
-    high = _numerator([counts.get((q, 1), 0) for q in range(b + 1)], dim)
+    lattice, interior = _window_counts(g)
+    low, high = _numerator(lattice, dim), _numerator(interior, dim)
     h: list[int | None] = [None] * (dim + 1)
     for i, x in [*enumerate(low), *((dim + 1 - k, x) for k, x in enumerate(high))]:
         want = h[i] if 0 <= i <= dim else 0

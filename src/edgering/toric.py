@@ -205,6 +205,8 @@ def minimal_generator_degrees(
         _guard(g, q, budget)
     for q in range(2, q_max + 1):
         _radix_weights(g.d, q)  # names the first degree whose codes leave int64
+    if g.m == 0:
+        return GeneratorProfile((), q_max)  # no edge variables: the ideal is zero
     degrees = []
     for q, (codes, supp) in enumerate(_levels(g, q_max), 1):
         if q > 1:

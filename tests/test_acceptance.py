@@ -26,7 +26,7 @@ from edgering.matching import is_edge_cover, is_matching, matching_number, maxim
 from edgering.normality import is_normal
 from edgering.polytope import edge_polytope, predicted_facets
 from edgering.toric import minimal_generator_degrees
-from oracles import brute_matching_number
+from oracles import brute_matching_number, hstar_from_counts
 
 
 @dataclass
@@ -205,6 +205,19 @@ def test_criterion_7_regularity_formula_consistency(atlas):
         "ACCEPTANCE 7 (h* degree = dim + 1 - interior threshold; Hilbert "
         "function = lattice count through dim + 2): PASS"
     )
+
+
+def test_criterion_7b_h_star_equals_the_full_window(atlas):
+    # h* from the fixed window and reciprocity equals h* read straight off
+    # the point counts of the whole box at q = 0..dim, on every normal graph
+    checked = 0
+    for f in atlas:
+        if not f.normal:
+            continue
+        checked += 1
+        assert f.h_star == hstar_from_counts([1, *f.geo_counts[:f.dim]], f.dim), f
+    assert checked == 989
+    print(f"ACCEPTANCE 7b (h* equals the full window's on {checked} normal graphs, d <= 7): PASS")
 
 
 def test_criterion_8_matching_oracle_d8():

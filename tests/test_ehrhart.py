@@ -9,9 +9,7 @@ from edgering.cli import main
 from edgering.ehrhart import (
     BudgetExceededError,
     NotNormalError,
-    _candidate_blocks,
     _compositions,
-    _split,
     check_idp,
     ehrhart_polynomial_value,
     ehrhart_profile,
@@ -275,10 +273,14 @@ def test_inexact_facet_products_are_refused(monkeypatch, capsys):
 
 
 def test_reciprocity_failure_is_an_invariant_violation(monkeypatch):
-    # C4 (d = 4) reads its interior counts from the slice at q = 2..4
-    real = edgering.ehrhart._dilation_counts
-    monkeypatch.setattr(edgering.ehrhart, "_dilation_counts", lambda g, dilations: [
-        c + ((q, lo) == (2, 1)) for c, (q, lo) in zip(real(g, dilations), dilations)])
+    # C4 (d = 4, dim = 2) reads its interior counts from the slice at q = 2
+    real = edgering.ehrhart._window_counts
+
+    def counts(g):
+        lattice, interior = real(g)
+        return lattice, [c + (q == 2) for q, c in enumerate(interior)]
+
+    monkeypatch.setattr(edgering.ehrhart, "_window_counts", counts)
     with pytest.raises(InvariantViolationError, match="reciprocity"):
         h_star(cycle_graph(4))
 
@@ -470,27 +472,26 @@ def test_half_window_matches_full_window():
     assert {0, 1, 2, 3} <= dims  # K2, both parities of dim
 
 
-def _read_counts(g):
-    """(lattice qs, interior qs) that h_star reads for g: the lattice counts
-    at q <= a and the interior slice at ceil(d/2) <= q <= b."""
-    bip = is_bipartite(g)
-    a, b = _split(g.d, edge_polytope(g).dim, None if bip is None else (len(bip.left), len(bip.right)))
-    return list(range(a + 1)), list(range((g.d + 1) // 2, b + 1))
+def _window_dilations(d, dim):
+    """The dilations (q, lo) h* reads on a graph of dim <= 15 on d vertices:
+    the box at q = 0..3 and the all-positive slice at q = ceil(d/2)..dim."""
+    return [(q, 0) for q in range(4)] + [(q, 1) for q in range((d + 1) // 2, dim + 1)]
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), complete_bipartite_graph(3, 3),
                                cycle_graph(7)], ids=["K4", "C5", "K33", "C7"])
 def test_h_star_counts_only_the_half_window(monkeypatch, g):
-    # h* asks the packed kernel for the box at q = 0..a and the all-positive
-    # slice at q = ceil(d/2)..b, with a + b + 1 - dim = 4 spare equations; the
+    # h* reads the box at q = 0..3 and the all-positive slice at
+    # q = ceil(d/2)..dim, with 3 + dim + 1 - dim = 4 spare equations; the
     # enumerator builds exactly those dilations once per shape, and the
     # point route never runs
     asked, built = [], []
-    real_counts, real_blocks = edgering.ehrhart._dilation_counts, edgering.ehrhart._shape_blocks
+    real_counts, real_blocks = edgering.ehrhart._window_counts, edgering.ehrhart._shape_blocks
 
-    def dilation_counts(graph, dilations):
-        asked.append(dilations)
-        return real_counts(graph, dilations)
+    def window_counts(graph):
+        counts = real_counts(graph)
+        asked.append(tuple(map(len, counts)))
+        return counts
 
     def shape_blocks(d, sides, cols, q, lo):
         built.append((q, lo))
@@ -499,19 +500,16 @@ def test_h_star_counts_only_the_half_window(monkeypatch, g):
     def classified(graph, q):
         raise AssertionError("h* ran the point route")
 
-    monkeypatch.setattr(edgering.ehrhart, "_dilation_counts", dilation_counts)
+    monkeypatch.setattr(edgering.ehrhart, "_window_counts", window_counts)
     monkeypatch.setattr(edgering.ehrhart, "_shape_blocks", shape_blocks)
     monkeypatch.setattr(edgering.ehrhart, "_lattice_classified", classified)
     edgering.ehrhart._packed.cache_clear()
     dim = edge_polytope(g).dim
-    lattice, interior = _read_counts(g)
-    assert lattice[-1] + interior[-1] + 1 - dim == 4
-    read = [(q, 0) for q in lattice] + [(q, 1) for q in interior]
     h_star(g)
     h_star(g)
-    assert asked == [tuple(read)] * 2
-    assert built == read
-    assert max(lattice) < (dim + 1) // 2 + 2  # the box at fewer than ceil(dim/2) + 2 dilations
+    # lattice counts at q = 0..3, interior counts at q = 0..dim
+    assert asked == [(4, dim + 1)] * 2
+    assert built == _window_dilations(g.d, dim)
 
 
 def _relabelled(g, perm):
@@ -540,39 +538,68 @@ def _single_faults():
 def test_single_count_fault_breaks_reciprocity(monkeypatch, g, lo, fault_q):
     # a +1 fault in any count h_star reads breaks reciprocity; a fault in a
     # count it does not read leaves h* as it is. The fault is planted in the
-    # packed counts: the lattice count (lo = 0) or the slice's interior count
-    # (lo = 1) at q = fault_q
+    # window counts: the lattice count (lo = 0) or the interior count
+    # (lo = 1) at q = fault_q. h* reads the lattice counts at q = 0..3 and
+    # the interior counts at q = 0..dim, which are 0 where 2q < d
     expected = h_star(g)
-    lattice, interior = _read_counts(g)
-    real = edgering.ehrhart._dilation_counts
-    monkeypatch.setattr(edgering.ehrhart, "_dilation_counts", lambda graph, dilations: [
-        c + (dil == (fault_q, lo)) for c, dil in zip(real(graph, dilations), dilations)])
-    if fault_q in (interior if lo else lattice):
+    real = edgering.ehrhart._window_counts
+
+    def counts(graph):
+        window = real(graph)
+        return tuple([c + (q == fault_q and i == lo) for q, c in enumerate(ends)]
+                     for i, ends in enumerate(window))
+
+    monkeypatch.setattr(edgering.ehrhart, "_window_counts", counts)
+    if fault_q <= (edge_polytope(g).dim if lo else 3):
         with pytest.raises(InvariantViolationError, match="reciprocity"):
             h_star(g)
     else:
         assert h_star(g) == expected
 
 
-def test_split_of_every_shape():
-    # for every shape with d <= 15, bipartite or not: 4 spare equations, both
-    # ends within min(dim + 2, MAX_Q), and the row figure the split is chosen
-    # by equals the rows the enumerator yields for those dilations
+def test_window_of_every_shape():
+    # for every shape with d <= 15, bipartite or not: the window is (3, dim),
+    # with 4 spare equations and both ends within MAX_Q, and the packed stack
+    # has one column per row `_candidate_rows` gives for those dilations, or
+    # is None where they do not fit one block
     rows = edgering.ehrhart._candidate_rows
+    packed = 0
     for d in range(2, 16):
-        shapes = [(complete_graph(d), None, d - 1)] if d >= 3 else []
-        shapes += [(complete_bipartite_graph(k, d - k), (k, d - k), d - 2)
-                   for k in range(1, d // 2 + 1)]
-        for g, sides, dim in shapes:
-            a, b = _split(d, dim, sides)
-            assert a + b + 1 - dim >= 4
-            assert max(a, b) <= min(dim + 2, edgering.ehrhart.MAX_Q)
-            box, positive = range(1, a + 1), range((d + 1) // 2, b + 1)
-            figure = sum(rows(d, sides, q, 0) for q in box) + sum(rows(d, sides, q, 1) for q in positive)
-            yielded = sum(len(block) for q in box for block in _candidate_blocks(g, q, 0))
-            yielded += sum(len(block) for q in positive for block in _candidate_blocks(g, q, 1))
-            assert figure == yielded, (d, sides)
-    assert _split(9, 8, None) == (3, 8)
+        shapes = [(None, d - 1)] if d >= 3 else []
+        shapes += [((k, d - k), d - 2) for k in range(1, d // 2 + 1)]
+        for sides, dim in shapes:
+            a, b = edgering.ehrhart._window(d, sides)
+            assert (a, b) == (3, dim) and a + b + 1 - dim == 4
+            assert max(a, b) <= edgering.ehrhart.MAX_Q
+            figure = sum(rows(d, sides, q, lo) for q, lo in _window_dilations(d, dim))
+            stack = edgering.ehrhart._packed(d, sides)
+            if figure > edgering.ehrhart._BLOCK_ROWS:
+                assert stack is None, (d, sides)
+                continue
+            packed += 1
+            assert stack[0].shape == (d, figure), (d, sides)
+            assert len(stack[1]) == len(stack[2]) == figure
+    edgering.ehrhart._packed.cache_clear()
+    assert packed > 50
+
+
+def test_h_star_is_refused_beyond_the_dilation_bound(monkeypatch):
+    # with the row budget lifted, the window reaches dim = 27, where
+    # a = b = MAX_Q = 15; at dim = 28, a would be 16, so h* is refused before
+    # any candidate is built
+    class Built(Exception):
+        pass
+
+    def shape_blocks(*args):
+        raise Built
+
+    monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", 10 ** 40)
+    monkeypatch.setattr(edgering.ehrhart, "_shape_blocks", shape_blocks)
+    with pytest.raises(BudgetExceededError, match="supported bound"):
+        h_star(path_graph(30))
+    assert edgering.ehrhart._window(29, (15, 14)) == (15, 15)
+    with pytest.raises(Built):
+        h_star(path_graph(29))
 
 
 def test_h_star_stacks_of_every_admitted_shape_fit_one_block():
@@ -584,12 +611,9 @@ def test_h_star_stacks_of_every_admitted_shape_fit_one_block():
         for sides, dim in [(None, d - 1), *(((k, d - k), d - 2) for k in range(1, d))]:
             if edgering.ehrhart._shape_row_cost(d, sides, dim + 2) > edgering.ehrhart.ROW_BUDGET:
                 continue
-            a, b = _split(d, dim, sides)
-            dilations = (*((q, 0) for q in range(a + 1)),
-                         *((q, 1) for q in range((d + 1) // 2, b + 1)))
-            assert edgering.ehrhart._packed(d, sides, dilations) is not None, (d, sides)
+            assert edgering.ehrhart._packed(d, sides) is not None, (d, sides)
             admitted.append((sum(edgering.ehrhart._candidate_rows(d, sides, q, lo)
-                                 for q, lo in dilations), d, sides))
+                                 for q, lo in _window_dilations(d, dim)), d, sides))
     edgering.ehrhart._packed.cache_clear()
     assert len(admitted) == 61 and max(d for _, d, _ in admitted) == 13
     assert max(admitted, key=lambda shape: shape[0]) == (10_945, 9, None)
@@ -622,24 +646,26 @@ def _packed_count_graphs():
 
 @pytest.mark.parametrize("rows", [edgering.ehrhart._BLOCK_ROWS, 50], ids=["real", "small"])
 def test_packed_counts_match_per_dilation_counts(block_rows, rows):
-    # every lattice count and slice count up to dim + 2, from one call of the
-    # count kernel, against the points of the whole box in G's own columns.
-    # path(8)'s dilations do not fit one real block and stream; with
-    # fifty-row blocks most graphs stream, block by block and one dilation at
-    # a time. The points are taken at the real block size
+    # h*'s window counts, and every single lattice and interior count up to
+    # max(dim + 2, 3), against the points of the whole box in G's own
+    # columns. At the real block size every window here is one packed stack;
+    # with fifty-row blocks most windows stream, block by block and one
+    # count at a time. The points are taken at the real block size
     wants = []
     for g in _packed_count_graphs():
-        top = edge_polytope(g).dim + 2
-        dilations = (*((q, 0) for q in range(top + 1)), *((q, 1) for q in range(1, top + 1)))
-        want = [len(lattice_points(g, q)) for q in range(top + 1)]
-        want += [len(interior_lattice_points(g, q)) for q in range(1, top + 1)]
-        wants.append((g, dilations, want))
+        qs = range(max(edge_polytope(g).dim + 3, 4))
+        lattice = [len(lattice_points(g, q)) for q in qs]
+        interior = [len(interior_lattice_points(g, q)) for q in qs]
+        wants.append((g, lattice, interior))
     block_rows(rows)
     streamed = 0
-    for g, dilations, want in wants:
-        assert edgering.ehrhart._dilation_counts(g, dilations) == want, g
-        streamed += edgering.ehrhart._packed(g.d, edgering.ehrhart._layout(g)[0], dilations) is None
-    assert streamed >= 1
+    for g, lattice, interior in wants:
+        dim = edge_polytope(g).dim
+        assert edgering.ehrhart._window_counts(g) == (lattice[:4], interior[:dim + 1]), g
+        assert [lattice_count(g, q) for q in range(len(lattice))] == lattice, g
+        assert [interior_count(g, q) for q in range(len(interior))] == interior, g
+        streamed += edgering.ehrhart._packed(g.d, edgering.ehrhart._layout(g)[0]) is None
+    assert (streamed > 0) == (rows == 50)
 
 
 def test_facet_products_stay_under_the_thread_bound(monkeypatch):
@@ -666,9 +692,8 @@ def test_facet_products_stay_under_the_thread_bound(monkeypatch):
         issued.append(len(products))
         bip = is_bipartite(g)
         sides = None if bip is None else (len(bip.left), len(bip.right))
-        a, b = _split(g.d, edge_polytope(g).dim, sides)
-        rows = sum(edgering.ehrhart._candidate_rows(g.d, sides, q, 0) for q in range(a + 1))
-        rows += sum(edgering.ehrhart._candidate_rows(g.d, sides, q, 1) for q in range(4, b + 1))
+        rows = sum(edgering.ehrhart._candidate_rows(g.d, sides, q, lo)
+                   for q, lo in _window_dilations(g.d, edge_polytope(g).dim))
         assert sum(r for _, _, r in products) == rows
         assert all(f * d * r <= bound for f, d, r in products)
     # 29 facets * 8 columns * 3,806 candidates takes four products

@@ -254,9 +254,13 @@ def test_polytope_digests_equal_the_pinned_ones():
 
 def test_toric_and_families_digests_equal_the_pinned_ones():
     # the toric line pins `fibers`, whose multidegrees are decoded from
-    # base-16 codes, and the families line pins the two_triangles_path sweep
+    # base-16 codes, the families line pins the two_triangles_path sweep, and
+    # the interior line pins h* on bipartite graphs with d = 9..12 and the
+    # instances over the row budget
     assert output_digests._toric_digest() == output_digests.PINNED["toric"]
     assert output_digests._families_digest() == output_digests.PINNED["families"]
+    interior = (make_family(spec) for spec in output_digests.INTERIOR_SPECS)
+    assert output_digests._analyze_digest(interior) == output_digests.PINNED["interior"]
 
 
 def test_primitive():

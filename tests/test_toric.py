@@ -77,6 +77,14 @@ def test_minimal_generator_degrees_examples():
     assert minimal_generator_degrees(complete_graph(4), 4).degrees == (2, 2)
 
 
+def test_edgeless_graph_has_no_generators():
+    # with no edge variables the defining ideal is zero: no fiber, and no
+    # generator at any degree
+    g = Graph.of(3, [])
+    assert minimal_generator_degrees(g, 3) == toric.GeneratorProfile((), 3)
+    assert all(fibers(g, q) == [] for q in range(1, 4))
+
+
 def test_two_triangle_family_generator_degrees():
     for ell in (1, 2, 3, 4):
         g = two_triangles_path(ell)
