@@ -27,6 +27,22 @@ from .toric import GeneratorProfile, minimal_generator_degrees
 CSV_HEADER = "family,params,d,edges,mat,mu,normal,dim,reg,expected_reg,verdict"
 
 
+def _csv_row(family, params, d, edge_count, mat, mu, normal, dim, reg, expected_reg,
+             verdict) -> str:
+    """One row in the columns of CSV_HEADER; an unknown reg is left empty."""
+    reg = "" if reg is None else reg
+    return (f"{family},{params},{d},{edge_count},{mat},{mu},{str(normal).lower()},{dim},"
+            f"{reg},{expected_reg},{verdict}")
+
+
+def q5_csv_row(r: AnalysisReport) -> str:
+    """The survey's row of one report: the graph is its params, and no reg
+    is expected of it."""
+    edges = " ".join(f"{i}-{j}" for i, j in r.edges)
+    return _csv_row("q5", f"d={r.d};edges={edges}", r.d, r.edge_count, r.mat, r.mu,
+                    r.normal, r.dim, r.reg, "", "empirical")
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Every invariant of one connected graph, plus the bound verdict."""
@@ -210,12 +226,8 @@ class SweepRow:
         return "match" if self.match else "mismatch"
 
     def csv_row(self) -> str:
-        reg = "" if self.reg is None else str(self.reg)
-        return (
-            f"{self.family},{self.params},{self.d},{self.edge_count},{self.mat},"
-            f"{self.mu},{str(self.normal).lower()},{self.dim},{reg},"
-            f"{self.expected_reg},{self.verdict()}"
-        )
+        return _csv_row(self.family, self.params, self.d, self.edge_count, self.mat, self.mu,
+                        self.normal, self.dim, self.reg, self.expected_reg, self.verdict())
 
     def to_dict(self) -> dict:
         return asdict(self)

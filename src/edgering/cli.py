@@ -16,6 +16,7 @@ import time
 from .analysis import (
     CSV_HEADER,
     analyze,
+    q5_csv_row,
     question5_sweep,
     run_families,
     verify_theorem,
@@ -110,14 +111,7 @@ def cmd_families(args) -> int:
 def cmd_q5(args) -> int:
     summary = question5_sweep(args.m, args.nmax, toric_qmax=args.qmax)
     if args.csv:
-        lines = [CSV_HEADER]
-        for r in summary["rows"]:
-            reg = "" if r.reg is None else r.reg
-            edges = " ".join(f"{i}-{j}" for i, j in r.edges)
-            lines.append(
-                f"q5,d={r.d};edges={edges},{r.d},{r.edge_count},{r.mat},{r.mu},"
-                f"{str(r.normal).lower()},{r.dim},{reg},,empirical"
-            )
+        lines = [CSV_HEADER] + [q5_csv_row(r) for r in summary["rows"]]
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     public = {k: v for k, v in summary.items() if k != "rows"}

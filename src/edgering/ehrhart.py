@@ -69,6 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import (
+    GRAPH_CACHE,
     Graph,
     induced_subgraph,
     is_bipartite,
@@ -182,7 +183,7 @@ def _unpack(codes: np.ndarray, d: int) -> np.ndarray:
     return (codes[:, None] >> 4 * np.arange(d)) & 15
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=GRAPH_CACHE)
 def _facet_matrix(g: Graph) -> np.ndarray:
     """The facet normals h of P, h.x >= 0 on every dilation, as the rows of a
     matrix H, so one H serves every q; h*'s packed window reads it with its
@@ -405,7 +406,7 @@ def interior_count(g: Graph, q: int) -> int:
 # Ring-side counting (sums of edge vectors)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=GRAPH_CACHE)
 def _idp_packed(g: Graph, q: int) -> np.ndarray:
     _check_dilation(q)
     if q == 0:

@@ -11,12 +11,18 @@ tuple of Python ints with bit v set in entry u when {u, v} is an edge (index
 2-colorings are one layered flood fill, `coloured_components`, inside a
 vertex mask, so callers can ask them of an induced subgraph without building
 it; `is_connected` is a plain flood fill from vertex 1.
+
+Every cache keyed on a graph, here and in the layers above, holds
+`GRAPH_CACHE` entries: an analysis re-reads its graph's facts only while it
+runs, so a run keeps the last few graphs, not every graph it has analysed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+GRAPH_CACHE = 64
 
 
 class GraphParseError(ValueError):
@@ -75,7 +81,7 @@ class Graph:
         return range(1, self.d + 1)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=GRAPH_CACHE)
 def neighbour_masks(g: Graph) -> tuple[int, ...]:
     """Neighbour bitmask of each vertex: bit v of entry u is set when {u, v}
     is an edge (index 0 and bit 0 unused)."""
@@ -191,7 +197,7 @@ class Bipartition:
     right: frozenset[int]
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=GRAPH_CACHE)
 def is_bipartite(g: Graph) -> Bipartition | None:
     """Return a 2-coloring if one exists, else None.
 

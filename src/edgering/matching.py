@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, InvariantViolationError, neighbour_masks
+from .graphs import GRAPH_CACHE, Graph, InvariantViolationError, neighbour_masks
 
 
 class IsolatedVertexError(ValueError):
@@ -128,10 +128,7 @@ def _augment_from(root: int, n: int, adj: list[list[int]], match: list[int]) -> 
     return False
 
 
-# `analyze` reads one graph's matching twice in a row, through
-# `matching_number` and `min_edge_cover`; a few entries serve that, where one
-# per verified graph would add 8 MB to `verify-theorem --nmax 8`
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=GRAPH_CACHE)
 def maximum_matching(g: Graph) -> Matching:
     """A maximum matching of g; ties broken deterministically."""
     n = g.d

@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import (
+    GRAPH_CACHE,
     Graph,
     NotConnectedError,
     is_bipartite,
@@ -85,7 +86,7 @@ def satisfies_odd_cycle_condition(g: Graph) -> bool:
     return True
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=GRAPH_CACHE)
 def is_normal(g: Graph) -> bool:
     """Normality of the edge ring: bipartite graphs qualify outright,
     otherwise the odd cycle condition decides."""

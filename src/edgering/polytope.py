@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import gcd
 
 from .graphs import (
+    GRAPH_CACHE,
     Graph,
     InvariantViolationError,
     NotConnectedError,
@@ -98,7 +99,7 @@ class EdgePolytope:
         return tuple(k for k, v in enumerate(self.vertices) if _dot(facet.normal, v) == 0)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=GRAPH_CACHE)
 def edge_polytope(g: Graph) -> EdgePolytope:
     """Construct the edge polytope of a connected graph with at least one edge."""
     if g.m == 0:

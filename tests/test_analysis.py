@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
@@ -13,6 +16,7 @@ from edgering.analysis import (
 )
 from edgering.enumeration import MAX_N
 from edgering.graphs import (
+    GRAPH_CACHE,
     Graph,
     NotConnectedError,
     attach_path,
@@ -57,6 +61,44 @@ def test_analyze_computes_one_maximum_matching():
     assert (r.mat, r.cover_size) == (3, 4)
     info = maximum_matching.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _graph_caches():
+    """Every cached function of edgering whose first parameter is a Graph."""
+    found = {}
+    for info in pkgutil.iter_modules(edgering.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"edgering.{info.name}")
+        for f in vars(module).values():
+            if not hasattr(f, "cache_info"):
+                continue
+            params = list(inspect.signature(f.__wrapped__, eval_str=True).parameters.values())
+            if params and params[0].annotation is Graph:
+                found[f.__qualname__] = f
+    return found
+
+
+def test_every_per_graph_cache_holds_the_one_bound():
+    caches = _graph_caches()
+    assert sorted(caches) == sorted([
+        "neighbour_masks", "is_bipartite", "is_normal", "edge_polytope",
+        "_facet_matrix", "_idp_packed", "maximum_matching",
+    ])
+    assert all(f.cache_info().maxsize == GRAPH_CACHE for f in caches.values())
+
+
+def test_verify_theorem_reads_each_fact_once_per_graph():
+    # one DD, one facet matrix, one normality test and one matching per
+    # graph, and no cache keeps more than GRAPH_CACHE of the graphs analysed
+    caches = _graph_caches()
+    for f in caches.values():
+        f.cache_clear()
+    result = verify_theorem(6)
+    assert (result.checked, result.normal) == (142, 142)
+    for name in ("edge_polytope", "_facet_matrix", "is_normal", "maximum_matching"):
+        assert caches[name].cache_info().misses == 142, name
+    assert all(f.cache_info().currsize <= GRAPH_CACHE for f in caches.values())
 
 
 def test_analyze_nonnormal_without_toric_leaves_reg_unknown():

@@ -733,3 +733,32 @@ def test_one_dilation_counts_leave_the_stack_cache_alone():
         infos.append(edgering.ehrhart._packed.cache_info())
     assert infos[0] == infos[1]
     assert infos[0].hits > 0
+
+
+def _closed_form_cases():
+    # K_n is the second hypersimplex: h*_1 = C(n, 2) - n and h*_i = C(n, 2i)
+    # for i >= 2; K_{a,b} is a product of simplices: h*_i = C(a-1, i) C(b-1, i)
+    for n in range(3, 13):
+        h = [1, math.comb(n, 2) - n, *(math.comb(n, 2 * i) for i in range(2, n // 2 + 1))]
+        while len(h) > 1 and h[-1] == 0:
+            h.pop()
+        yield complete_graph(n), tuple(h)
+    for s in range(3, 16):
+        for a in range(1, s // 2 + 1):
+            b = s - a
+            yield complete_bipartite_graph(a, b), tuple(
+                math.comb(a - 1, i) * math.comb(b - 1, i) for i in range(a))
+
+
+def test_h_star_matches_closed_forms_beyond_the_exhaustive_range(monkeypatch):
+    # K_n through n = 12 and K_{a,b} through a + b = 15 with the budget
+    # lifted; the windows over one block stream through lattice_count and
+    # interior_count
+    monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", 10**40)
+    cases = list(_closed_form_cases())
+    assert len(cases) == 65
+    streamed = 0
+    for g, want in cases:
+        assert h_star(g) == want, g
+        streamed += edgering.ehrhart._packed(g.d, edgering.ehrhart._layout(g)[0]) is None
+    assert streamed > 0
