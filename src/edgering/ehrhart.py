@@ -92,6 +92,9 @@ _BLOCK_ROWS = 1 << 16
 _PRODUCT_MADDS = 1 << 18
 # shapes whose packed h* stack is cached
 _PACKED_SHAPES = 16
+# composition tables cached: a families run builds 159 and an atlas7 run 95,
+# so neither evicts one
+_COMPOSITION_TABLES = 256
 
 
 class NotNormalError(ValueError):
@@ -115,7 +118,7 @@ def _compositions(total: int, parts: int, cap: int) -> np.ndarray:
     return _capped_compositions(total, parts, min(cap, total))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COMPOSITION_TABLES)
 def _capped_compositions(total: int, parts: int, cap: int) -> np.ndarray:
     if parts <= 1:
         fits = total == 0 if parts == 0 else 0 <= total <= cap

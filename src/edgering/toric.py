@@ -9,7 +9,9 @@ at a time, each level a few gathers of the one below, and every row carries
 its base-16 multidegree code and the bits of the edge variables it uses; no
 exponent table is built. One pass per degree then counts the generators of
 every fiber at once: one sort of the codes, and the components of one graph
-linking the monomials of a fiber that share an edge variable. The tests check
+linking the monomials of a fiber that share an edge variable. A fiber whose
+monomials all use one edge variable is a single component (any two of them
+share it), so only fibers with no common variable are linked. The tests check
 it against a fiber-by-fiber search (tests/oracles.py) and exact linear
 algebra. Results are certified only up to the degree bound, which the profile
 records.
@@ -153,23 +155,43 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> int:
     return int(np.count_nonzero(label == np.arange(n)))
 
 
+def _common_variable(supp: np.ndarray, fiber: np.ndarray) -> np.ndarray:
+    """Per fiber of `_shared_fibers`, whether one edge variable divides every
+    monomial in it: the AND of its rows' support words, one reduceat over
+    the fiber starts, is nonzero in some word."""
+    starts = np.flatnonzero(np.diff(fiber, prepend=0))
+    return np.bitwise_and.reduceat(supp, starts, axis=0).any(axis=1)
+
+
 def _generator_count(m: int, codes: np.ndarray, supp: np.ndarray) -> int:
     """Minimal generators at the degree of one level of `_levels`: the
     gcd-connectivity components of all shared fibers, minus the number of
-    shared fibers."""
+    shared fibers.
+
+    A fiber whose monomials all use one edge variable x_k is one component:
+    every two of them share x_k, so its gcd graph is complete and it adds no
+    generator. Only the other fibers are linked and counted; they may still
+    be connected (u - v - w with u, w coprime), so the count stays exact.
+    """
     rows, _, fiber = _shared_fibers(codes)
-    words = np.ascontiguousarray(supp[rows].T)
-    index = np.min_scalar_type(len(rows))
+    words = supp[rows]
+    linked = ~_common_variable(words, fiber)
+    if not linked.any():
+        return 0  # no shared rows, or every fiber is one component
+    keep = linked[fiber - 1]
+    words = np.ascontiguousarray(words[keep].T)
+    fiber = fiber[keep]
+    index = np.min_scalar_type(len(fiber))
     a, b = [], []
     for k in range(m):
-        # the shared monomials using edge variable k, in fiber order; links
-        # between neighbours in the same fiber join all of them
+        # the monomials of linked fibers using edge variable k, in fiber
+        # order; links between neighbours in the same fiber join all of them
         uses = np.flatnonzero(words[k // 64] & np.uint64(1 << (k % 64))).astype(index)
         within = fiber[uses]
         same = within[1:] == within[:-1]
         a.append(uses[:-1][same])
         b.append(uses[1:][same])
-    return _components(np.concatenate(a), np.concatenate(b), len(rows)) - int(fiber.max(initial=0))
+    return _components(np.concatenate(a), np.concatenate(b), len(fiber)) - int(np.count_nonzero(linked))
 
 
 def fibers(g: Graph, q: int) -> list[Fiber]:

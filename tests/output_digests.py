@@ -44,7 +44,10 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
   `attach_path(complete(8),1,4)` and `two_triangles_path(4)`. It pins the
   graph-side facet route, provenance strings included.
 
-Takes under a minute; pytest does not collect this file.
+The analyze, window, facets and predicted lines are read in one walk over
+the graphs, so each graph's facts are built once for all four while the
+per-graph caches hold them. Takes under a minute; pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -107,18 +110,74 @@ def _families_digest() -> str:
     return _sha(stdout + err.getvalue() + rows)
 
 
-def _graphs() -> list:
-    """Every connected graph with 2 <= n <= 7 and every 25th with n = 8."""
-    return [g for n in range(2, 8) for g in connected_graphs(n)] + connected_graphs(8)[::25]
+def _analyze_line(g) -> str:
+    report = analyze(g).to_dict()
+    report.pop("seconds")
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+def _window_line(g) -> str:
+    qs = range(edge_polytope(g).dim + 3)
+    return repr((
+        g.edges,
+        [lattice_count(g, q) for q in qs],
+        [interior_count(g, q) for q in qs],
+        list(h_star(g)),
+        min_interior_q(g),
+    )) + "\n"
+
+
+def _facets_line(g) -> str:
+    p = edge_polytope(g)
+    tight = sorted(p.tight_vertices(f) for f in p.facets())
+    return repr((g.edges, p.dim, tight)) + "\n"
+
+
+def _predicted_line(g) -> str:
+    return repr((g.edges, predicted_facets(g))) + "\n"
+
+
+GRAPH_LINES = {
+    "analyze": _analyze_line,
+    "window": _window_line,
+    "facets": _facets_line,
+    "predicted": _predicted_line,
+}
+
+
+def _graph_digests(names=tuple(GRAPH_LINES)) -> dict[str, str]:
+    """The named digests of GRAPH_LINES in one walk over the connected graphs
+    with 2 <= n <= 8: each graph is read once for every line it feeds, while
+    the per-graph caches still hold it, and each digest takes its graphs in
+    its own order. analyze and facets read every graph with n <= 7 and every
+    25th with n = 8, window the normal ones among every graph with n <= 7
+    and every 25th normal one with n = 8, and predicted every graph with
+    n <= 7 and then PREDICTED_SPECS."""
+    hashers = {name: hashlib.sha256() for name in names}
+
+    def feed(name, g):
+        if name in hashers:
+            hashers[name].update(GRAPH_LINES[name](g).encode())
+
+    for n in range(2, 9):
+        normal = 0
+        for i, g in enumerate(connected_graphs(n)):
+            if n < 8 or i % 25 == 0:
+                feed("analyze", g)
+                feed("facets", g)
+            if "window" in hashers and is_normal(g):
+                if n < 8 or normal % 25 == 0:
+                    feed("window", g)
+                normal += 1
+            if n < 8:
+                feed("predicted", g)
+    for spec in PREDICTED_SPECS:
+        feed("predicted", make_family(spec))
+    return {name: h.hexdigest() for name, h in hashers.items()}
 
 
 def _analyze_digest(graphs) -> str:
-    lines = []
-    for g in graphs:
-        report = analyze(g).to_dict()
-        report.pop("seconds")
-        lines.append(json.dumps(report, sort_keys=True) + "\n")
-    return _sha("".join(lines))
+    return _sha("".join(map(_analyze_line, graphs)))
 
 
 def _verify_digest(tmp: str) -> str:
@@ -137,37 +196,6 @@ def _q5_digest(tmp: str, m: int, n_max: int) -> str:
         return _sha(stdout + fh.read())
 
 
-def _window_digest() -> str:
-    small = [g for n in range(2, 8) for g in connected_graphs(n) if is_normal(g)]
-    graphs = small + [g for g in connected_graphs(8) if is_normal(g)][::25]
-    lines = []
-    for g in graphs:
-        qs = range(edge_polytope(g).dim + 3)
-        lines.append(repr((
-            g.edges,
-            [lattice_count(g, q) for q in qs],
-            [interior_count(g, q) for q in qs],
-            list(h_star(g)),
-            min_interior_q(g),
-        )) + "\n")
-    return _sha("".join(lines))
-
-
-def _facets_digest() -> str:
-    lines = []
-    for g in _graphs():
-        p = edge_polytope(g)
-        tight = sorted(p.tight_vertices(f) for f in p.facets())
-        lines.append(repr((g.edges, p.dim, tight)) + "\n")
-    return _sha("".join(lines))
-
-
-def _predicted_digest() -> str:
-    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
-    graphs += [make_family(spec) for spec in PREDICTED_SPECS]
-    return _sha("".join(repr((g.edges, predicted_facets(g))) + "\n" for g in graphs))
-
-
 def _toric_digest() -> str:
     jobs = [(g, edge_polytope(g).dim + 2) for g in connected_graphs(7) if not is_normal(g)]
     jobs += [(two_triangles_path(ell), ell + 4) for ell in range(1, 7)]
@@ -180,7 +208,8 @@ def _toric_digest() -> str:
 
 def _digests():
     """(name, digest) for every output, in the order they are printed."""
-    yield "analyze", _analyze_digest(_graphs())
+    walked = _graph_digests()
+    yield "analyze", walked["analyze"]
     with tempfile.TemporaryDirectory() as tmp:
         yield "verify-theorem", _verify_digest(tmp)
         yield "q5", _q5_digest(tmp, 2, 6)
@@ -189,12 +218,12 @@ def _digests():
     yield "codes n=8", _sha(repr(connected_graph_bits(8)))
     counts = [[automorphism_count(g) for g in connected_graphs(n)] for n in range(1, 8)]
     yield "automorphisms n<=7", _sha(repr(counts))
-    yield "window", _window_digest()
-    yield "facets", _facets_digest()
+    yield "window", walked["window"]
+    yield "facets", walked["facets"]
     yield "toric", _toric_digest()
     yield "families", _families_digest()
     yield "interior", _analyze_digest(make_family(spec) for spec in INTERIOR_SPECS)
-    yield "predicted", _predicted_digest()
+    yield "predicted", walked["predicted"]
 
 
 def main_digests() -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import edgering.ehrhart
-from edgering.analysis import analyze
+from edgering.analysis import analyze, run_families, verify_theorem
 from edgering.cli import main
 from edgering.ehrhart import (
     BudgetExceededError,
@@ -629,6 +629,19 @@ def test_compositions_match_uncapped_recursion():
                 want = uncapped_compositions(total, parts, cap)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (total, parts, cap)
     assert _compositions(3, 4, 3) is _compositions(3, 4, 9)
+
+
+def test_composition_tables_of_the_sweeps_fit_the_bound():
+    # the cache is bounded, and the tables of the families sweep and the
+    # n <= 7 verification fit under the bound together, so neither run
+    # rebuilds a table it has evicted
+    cached = edgering.ehrhart._capped_compositions
+    assert cached.cache_info().maxsize == edgering.ehrhart._COMPOSITION_TABLES < math.inf
+    cached.cache_clear()
+    run_families(4, 6)
+    verify_theorem(7)
+    info = cached.cache_info()
+    assert info.hits > 0 and info.misses == info.currsize < info.maxsize
 
 
 def _packed_count_graphs():

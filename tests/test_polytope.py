@@ -248,8 +248,9 @@ def test_failed_certificate_exits_3(flipped_colouring, capsys):
 
 def test_polytope_digests_equal_the_pinned_ones():
     # the facets and predicted lines of tests/output_digests.py
-    assert output_digests._facets_digest() == output_digests.PINNED["facets"]
-    assert output_digests._predicted_digest() == output_digests.PINNED["predicted"]
+    names = ("facets", "predicted")
+    walked = output_digests._graph_digests(names)
+    assert walked == {name: output_digests.PINNED[name] for name in names}
 
 
 def test_toric_and_families_digests_equal_the_pinned_ones():

@@ -17,8 +17,8 @@ from edgering.graphs import (
 )
 from edgering.normality import is_normal
 from edgering.polytope import edge_polytope
-from edgering.toric import _components, fibers, minimal_generator_degrees
-from oracles import fiber_generator_count, generator_count_oracle
+from edgering.toric import _common_variable, _components, fibers, minimal_generator_degrees
+from oracles import fiber_components, fiber_generator_count, generator_count_oracle
 
 
 def test_fibers_examples():
@@ -100,17 +100,89 @@ def test_principal_regularity():
     assert minimal_generator_degrees(complete_graph(3), 4).principal_reg is None
 
 
-def test_generator_counts_match_fiber_by_fiber_search():
-    # every non-normal connected graph with n <= 7 up to the q5 bound dim + 2,
-    # and the two-triangle family up to l + 4
+def _fiber_search_jobs():
+    """Every non-normal connected graph with n <= 7 up to the q5 bound
+    dim + 2, and the two-triangle family up to l + 4."""
     jobs = [(g, edge_polytope(g).dim + 2)
             for n in range(2, 8) for g in connected_graphs(n) if not is_normal(g)]
     assert len(jobs) == 6
-    jobs += [(two_triangles_path(ell), ell + 4) for ell in range(1, 6)]
-    for g, q_max in jobs:
+    return jobs + [(two_triangles_path(ell), ell + 4) for ell in range(1, 6)]
+
+
+def test_generator_counts_match_fiber_by_fiber_search():
+    for g, q_max in _fiber_search_jobs():
         degrees = minimal_generator_degrees(g, q_max).degrees
         for q in range(2, q_max + 1):
             assert degrees.count(q) == fiber_generator_count(g, q), (g, q)
+
+
+def test_fibers_with_a_common_variable_are_one_component():
+    # the count links only fibers with no common edge variable; every fiber
+    # it drops must be a single gcd component, checked by depth-first search
+    dropped = kept = 0
+    for g, q_max in _fiber_search_jobs():
+        for q, (codes, supp) in enumerate(toric._levels(g, q_max), 1):
+            rows, _, fiber = toric._shared_fibers(codes)
+            common = _common_variable(supp[rows], fiber)
+            ks = toric._multisets(g.m, q, rows)
+            expo = np.zeros((len(rows), g.m), dtype=np.int64)
+            np.add.at(expo, (np.arange(len(rows))[:, None], ks), 1)
+            starts = np.flatnonzero(np.diff(fiber, prepend=0))
+            ends = np.append(starts[1:], len(rows))
+            for f in np.flatnonzero(common):
+                assert fiber_components(expo[starts[f]:ends[f]]) == 1, (g, q, f)
+            dropped += int(common.sum())
+            kept += int((~common).sum())
+    assert dropped > kept > 0
+
+
+def test_chained_fiber_with_no_common_variable_counts_zero(monkeypatch):
+    # one fiber u = x0 x1, v = x1 x2, w = x2 x3: no variable divides all
+    # three, yet u - v - w joins them, so it adds no generator; the fiber
+    # x0 x1, x0 x2 shares x0 and never reaches the components
+    linked = []
+    components = toric._components
+    monkeypatch.setattr(toric, "_components", lambda a, b, n: linked.append(n) or components(a, b, n))
+    codes = np.array([7, 7, 7, 8, 8])
+    supp = np.array([[0b0011], [0b0110], [0b1100], [0b0011], [0b0101]], dtype=np.uint64)
+    assert _common_variable(supp, np.array([1, 1, 1, 2, 2])).tolist() == [False, True]
+    assert toric._generator_count(4, codes, supp) == 0
+    # without v the chained fiber splits into two components: one generator
+    assert toric._generator_count(4, codes[[0, 2, 3, 4]], supp[[0, 2, 3, 4]]) == 1
+    assert linked == [3, 2]
+
+
+def test_levels_with_nothing_to_link_count_zero(monkeypatch):
+    linked = []
+    monkeypatch.setattr(toric, "_components", lambda a, b, n: linked.append(n) or n)
+    supp = np.array([[0b01], [0b10], [0b11]], dtype=np.uint64)
+    # no two rows share a multidegree
+    assert toric._generator_count(2, np.array([5, 1, 9]), supp) == 0
+    # every fiber has a common variable
+    assert toric._generator_count(2, np.array([4, 4, 4, 6, 6]), supp[[0, 2, 2, 1, 2]]) == 0
+    assert linked == []
+
+
+def test_generator_counts_of_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.seed(2019)
+    @hypothesis.settings(max_examples=50, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 6))
+        # a random spanning tree, then any further edges
+        tree = {(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+        rest = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in tree]
+        extra = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+        g = Graph.of(n, sorted(tree | set(extra)))
+        q_max = data.draw(st.integers(2, 5))
+        degrees = minimal_generator_degrees(g, q_max).degrees
+        for q in range(2, q_max + 1):
+            assert degrees.count(q) == fiber_generator_count(g, q), (g, q)
+
+    check()
 
 
 def _shuffled_path(nodes, rng):
