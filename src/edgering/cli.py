@@ -3,7 +3,8 @@ exhaustively, sweep the constructed families, and survey by matching number.
 
 Exit status is 0 only when no verification failed and no error occurred;
 failures are reported on stderr. An internal cross-check failure (a bug, not
-bad input) exits with its own status, 3.
+bad input) exits with its own status, 3, and an exhausted work budget
+(`BudgetExceededError`, the input is too large for a bound) with 4.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .analysis import (
     run_families,
     verify_theorem,
 )
+from .ehrhart import BudgetExceededError
 from .enumeration import MAX_N
 from .graphs import make_family, parse_graph
 from .polytope import InvariantViolationError
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_BUG = 3
+EXIT_BUDGET = 4
 
 
 def _load_graph(args):
@@ -162,6 +165,9 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_BUG
+    except BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

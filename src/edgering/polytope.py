@@ -22,15 +22,18 @@ outputs are brought to the canonical form, so they compare as sets.
 The basis edges and the initial simplicial cone of the double description
 are read off the graph (`_basis_cone`): the edge vectors' linear matroid is
 the even-cycle matroid of G, and each initial ray alternates +-1 on a tree
-of the basis forest. A certificate checks every ray against the basis, and
-the basis size against the structural dimension.
+of the basis forest. One BFS of each component of that forest gives every
+ray in a few bit operations on its depth parity and subtree masks. A
+certificate checks every ray against the basis, and the basis size against
+the structural dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
+from operator import add
 
 from .graphs import (
     GRAPH_CACHE,
@@ -115,18 +118,59 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         raise InvariantViolationError(
             f"certified dimension {dim} != structural dimension {expected}"
         )
-    equations: list[tuple[tuple[int, ...], int]] = [(tuple([1] * g.d), 2)]
+    equations: tuple[tuple[tuple[int, ...], int], ...] = ((tuple([1] * g.d), 2),)
+    # sum x = 2 on every vertex, and chi_L.x = 1 when each edge has exactly
+    # one end in the left side L
+    holds = all(sum(v) == 2 for v in verts)
     if bip is not None:
-        chi = tuple(1 if v in bip.left else 0 for v in g.vertices())
-        equations.append((chi, 1))
-    for coeffs, rhs in equations:
-        for v in verts:
-            if _dot(coeffs, v) != rhs:
-                raise InvariantViolationError("vertex violates an affine hull equation")
+        left = sum(1 << v for v in bip.left)
+        equations += ((tuple(left >> v & 1 for v in g.vertices()), 1),)
+        holds = holds and all((left >> i ^ left >> j) & 1 for i, j in g.edges)
+    if not holds:
+        raise InvariantViolationError("vertex violates an affine hull equation")
     chosen = set(basis)
     order = tuple(basis + [e for e in range(g.m) if e not in chosen])
-    p = EdgePolytope(g, g.d, verts, dim, tuple(equations), ())
-    return replace(p, _facets=_hull_facets(p, order, rays))
+    return EdgePolytope(g, g.d, verts, dim, equations, _hull_facets(g, equations, order, rays))
+
+
+def _forest_bfs(nb: list[int], d: int):
+    """One BFS of each component of the basis forest F (neighbour masks
+    `nb` on vertices 1..d), from its least vertex: (parent, below, root,
+    even, closing). parent[v] is v's BFS parent, 0 at a root; below[v] is
+    the mask of v's BFS subtree, so below[root[v]] is v's component; even
+    holds the vertices at even depth; closing maps the root of each
+    component with a cycle to the edge (u, w), u < w, that the BFS tree
+    leaves out, the only edge from a vertex to a seen one other than its
+    parent."""
+    parent, below, root = [0] * (d + 1), [0] * (d + 1), [0] * (d + 1)
+    closing = {}
+    even = seen = 0
+    for r in range(1, d + 1):
+        if seen >> r & 1:
+            continue
+        seen |= 1 << r
+        even |= 1 << r
+        order = [r]
+        for v in order:
+            root[v] = r
+            back = nb[v] & seen & ~(1 << parent[v])
+            if back:
+                w = back.bit_length() - 1
+                closing[r] = (v, w) if v < w else (w, v)
+            fresh = nb[v] & ~seen
+            seen |= fresh
+            if not even >> v & 1:
+                even |= fresh
+            while fresh:
+                low = fresh & -fresh
+                c = low.bit_length() - 1
+                parent[c] = v
+                order.append(c)
+                fresh ^= low
+        for v in reversed(order):
+            below[v] |= 1 << v
+            below[parent[v]] |= below[v]
+    return parent, below, root, even, closing
 
 
 def _basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -140,9 +184,19 @@ def _basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
     leaves them so. A functional that vanishes on a connected edge set
     alternates on it, so it is 0 where the set holds an odd cycle: the ray of
     k = {i, j} alternates +-1 on the tree of F - k that holds i (else j), F
-    the basis forest, is +1 at that endpoint and 0 elsewhere. Each ray is
-    checked on every basis edge, which certifies the basis independent; a
-    failure raises InvariantViolationError.
+    the basis forest, is +1 at that endpoint and 0 elsewhere.
+
+    Every ray is read off one BFS of each component of F (`_forest_bfs`),
+    whose depth parity 2-colours the BFS tree. A component's cycle is odd,
+    so the edge the tree leaves out, its closing edge, joins two vertices of
+    one depth. For the closing edge, F - k is the BFS tree and takes its
+    colouring. For another edge k on the cycle, F - k is the BFS tree less
+    k plus the closing edge, which joins the subtree below k to the rest at
+    one parity, so the colouring flips on that subtree. Any other edge cuts
+    its component in two, and the ray lives on the side without the cycle
+    (the side of i in a tree). Each ray is checked on every basis edge,
+    which certifies the basis independent; a failure raises
+    InvariantViolationError.
     """
     parent, flip, cyclic = list(range(g.d + 1)), [0] * (g.d + 1), [False] * (g.d + 1)
 
@@ -166,18 +220,23 @@ def _basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
         nb[j] |= 1 << i
 
     edges = [g.edges[e] for e in basis]
+    up, below, root, even, closing = _forest_bfs(nb, g.d)
+    vertices = g.vertices()
     rays = []
     for k, (i, j) in enumerate(edges):
-        nb[i] ^= 1 << j
-        nb[j] ^= 1 << i
-        trees = {end: (part, left) for part, left in coloured_components(nb, vertex_mask(g))
-                 for end in (i, j) if part >> end & 1 and left is not None}
-        end = i if i in trees else j
-        part, left = trees.get(end, (0, 0))
-        plus = left if left >> end & 1 else part & ~left
-        ray = tuple(1 if plus >> v & 1 else -(part >> v & 1) for v in g.vertices())
-        nb[i] ^= 1 << j
-        nb[j] ^= 1 << i
+        part, colour = below[root[i]], even
+        cycle = closing.get(root[i])
+        if (i, j) != cycle:
+            sub = below[j] if up[j] == i else below[i]
+            if cycle is None:
+                part = sub if sub >> i & 1 else part & ~sub
+            elif sub >> cycle[0] & 1 != sub >> cycle[1] & 1:
+                colour ^= sub  # k on the cycle
+            else:
+                part = part & ~sub if sub >> cycle[0] & 1 else sub
+        end = i if part >> i & 1 else j
+        plus = part & (colour if colour >> end & 1 else ~colour)
+        ray = tuple([1 if plus >> v & 1 else -(part >> v & 1) for v in vertices])
         vals = [ray[a - 1] + ray[b - 1] for a, b in edges]
         if vals[k] <= 0 or any(vals[:k] + vals[k + 1:]):
             raise InvariantViolationError(f"initial ray of basis edge {(i, j)} fails the certificate")
@@ -193,9 +252,14 @@ def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequ
     side L (the second hull equation chi_L.x = 1) is 0. Then h is made
     primitive.
     """
+    return _canonical(p.hull_equations, normal, provenance)
+
+
+def _canonical(equations, normal, provenance: str) -> FacetInequality:
+    """`canonical_inequality` against the hull equations of P."""
     h = list(normal)
-    if len(p.hull_equations) > 1:
-        chi = p.hull_equations[1][0]
+    if len(equations) > 1:
+        chi = equations[1][0]
         t = min(x for x, c in zip(h, chi) if c)
         h = [x - t if c else x + t for x, c in zip(h, chi)]
     h = primitive(h)
@@ -208,56 +272,62 @@ def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequ
 # Hull-side facet computation (double description)
 # ---------------------------------------------------------------------------
 
-def _hull_facets(p: EdgePolytope, order: tuple[int, ...], rays: list[tuple[int, ...]]
+def _hull_facets(g: Graph, equations, order: tuple[int, ...], rays: list[tuple[int, ...]]
                  ) -> tuple[FacetInequality, ...]:
-    """Facets of the cone over P, the extreme rays of its dual cone, built
-    incrementally one edge inequality at a time with the combinatorial
-    adjacency test. The DD takes the edges in `order`, the basis edges of
-    `_basis_cone` first, and starts from the simplicial cone of its `rays`.
+    """Facets of the cone over P, whose affine hull has the `equations`, the
+    extreme rays of its dual cone, built incrementally one edge inequality
+    at a time with the combinatorial adjacency test. The DD takes the edges
+    in `order`, the basis edges of `_basis_cone` first, and starts from the
+    simplicial cone of its `rays`.
 
     The initial cone is simplicial, so every intermediate cone is pointed
     (modulo chi_L - chi_R when G is bipartite) and each new ray comes from
     exactly one adjacent pair. A ray's mask holds its zero set over the
-    edges processed so far, as bits on positions in `order`.
+    edges processed so far, as bits on positions in `order`; an extreme
+    ray is the only ray on the face its zero set cuts out, so no two rays
+    share a mask, and a pair is adjacent when no third ray's mask holds
+    their common zero set.
     """
-    if p.dim < 1:
-        return ()
     n = len(rays)
+    if n < 2:
+        return ()
     masks = [((1 << n) - 1) ^ (1 << k) for k in range(n)]
-    edges = [p.graph.edges[e] for e in order]
+    ends = [(i - 1, j - 1) for i, j in (g.edges[e] for e in order)]
     for step in range(n, len(order)):
-        i, j = edges[step]
-        vals = [r[i - 1] + r[j - 1] for r in rays]
+        i, j = ends[step]
         bit = 1 << step
-        if min(vals) >= 0:
-            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-            continue
-        plus = [k for k, v in enumerate(vals) if v > 0]
-        minus = [k for k, v in enumerate(vals) if v < 0]
-        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
-        new_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v >= 0]
-        for kp in plus:
-            for km in minus:
-                common = masks[kp] & masks[km]
+        plus, minus, new_rays, new_masks = [], [], [], []
+        for r, m in zip(rays, masks):
+            v = r[i] + r[j]
+            if v > 0:
+                plus.append((r, m, v))
+            elif v < 0:
+                minus.append((r, m, -v))
+                continue
+            else:
+                m |= bit
+            new_rays.append(r)
+            new_masks.append(m)
+        for a, ma, lam in plus:
+            for b, mb, mu in minus:
+                common = ma & mb
                 if common.bit_count() < n - 2:
                     continue
-                adjacent = True
-                for other, om in enumerate(masks):
-                    if common & om == common and other != kp and other != km:
-                        adjacent = False
+                for om in masks:
+                    if common & om == common and om != ma and om != mb:
                         break
-                if not adjacent:
-                    continue
-                # both parents are >= 0 on every processed edge, so the
-                # combination vanishes exactly where both do, and on this one
-                lam, mu = vals[kp], -vals[km]
-                new_rays.append(
-                    primitive(mu * a + lam * b for a, b in zip(rays[kp], rays[km]))
-                )
-                new_masks.append(common | bit)
+                else:
+                    # both parents are >= 0 on every processed edge, so the
+                    # combination vanishes exactly where both do, and on this
+                    # one; primitive(c x) = primitive(x) for c > 0, so equal
+                    # weights just add the parents
+                    new_rays.append(primitive(
+                        map(add, a, b) if lam == mu else [mu * x + lam * y for x, y in zip(a, b)]
+                    ))
+                    new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    if len(p.hull_equations) > 1:
-        facets = [canonical_inequality(p, r, "hull") for r in rays]
+    if len(equations) > 1:
+        facets = [_canonical(equations, r, "hull") for r in rays]
     elif all(map(any, rays)):
         # already canonical: the initial rays hold a +1 and every combination
         # was made primitive

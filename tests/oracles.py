@@ -11,12 +11,13 @@ and fiber by fiber with a search of each gcd graph, labeled connected-graph
 counts by the classical recurrence, stable colors one vertex at a time on
 bit masks, automorphisms over all n! permutations, and connected graphs by
 canonicalising every child of every parent one at a time, components and
-2-colorings by breadth-first search over neighbour sets, and the odd cycle
-condition pair by pair over vertex sets. One standalone rational kernel,
-`frac_rref`, serves every exact oracle: ranks, null-space functionals,
-Caratheodory solves and the basis-cone references all read its reduced rows
-and pivot columns, so the rational oracles share nothing with the package
-implementation.
+2-colorings by breadth-first search over neighbour sets, the odd cycle
+condition pair by pair over vertex sets, and the initial double-description
+cone by one flood fill per basis edge with the DD loop as first written.
+One standalone rational kernel, `frac_rref`, serves every exact oracle:
+ranks, null-space functionals, Caratheodory solves and the basis-cone
+references all read its reduced rows and pivot columns, so the rational
+oracles share nothing with the package implementation.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 
 from edgering.ehrhart import _candidate_blocks, _facet_matrix, _facet_min
 from edgering.enumeration import canonical_bits, edge_slots
-from edgering.graphs import Bipartition, Graph
-from edgering.polytope import edge_polytope
+from edgering.graphs import Bipartition, Graph, coloured_components, vertex_mask
+from edgering.polytope import FacetInequality, canonical_inequality, edge_polytope, primitive
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +288,87 @@ def bruteforce_facets(vertices, dim: int) -> set[frozenset[int]]:
             if frac_rank(diffs_t) == dim - 1:
                 facets.add(tight)
     return facets
+
+
+# ---------------------------------------------------------------------------
+# The initial DD cone and the DD, as first written
+# ---------------------------------------------------------------------------
+
+def flood_fill_basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(basis, rays) of the initial DD cone, one flood fill of F - k per
+    basis edge k: the same union-find basis as `polytope._basis_cone`, and
+    the ray of k = {i, j} alternates +-1 on the tree of F - k that holds i
+    (else j), +1 at that endpoint and 0 elsewhere. No certificate."""
+    parent, flip, cyclic = list(range(g.d + 1)), [0] * (g.d + 1), [False] * (g.d + 1)
+
+    def find(v: int) -> tuple[int, int]:
+        side = 0
+        while parent[v] != v:
+            side, v = side ^ flip[v], parent[v]
+        return v, side
+
+    basis, nb = [], [0] * (g.d + 1)
+    for e, (i, j) in enumerate(g.edges):
+        (a, s), (b, t) = find(i), find(j)
+        if a == b and (cyclic[a] or s != t) or a != b and cyclic[a] and cyclic[b]:
+            continue
+        if a != b:
+            parent[b], flip[b] = a, s ^ t ^ 1
+        cyclic[a] = a == b or cyclic[a] or cyclic[b]
+        basis.append(e)
+        nb[i] |= 1 << j
+        nb[j] |= 1 << i
+
+    rays = []
+    for i, j in (g.edges[e] for e in basis):
+        nb[i] ^= 1 << j
+        nb[j] ^= 1 << i
+        trees = {end: (part, left) for part, left in coloured_components(nb, vertex_mask(g))
+                 for end in (i, j) if part >> end & 1 and left is not None}
+        end = i if i in trees else j
+        part, left = trees.get(end, (0, 0))
+        plus = left if left >> end & 1 else part & ~left
+        rays.append(tuple(1 if plus >> v & 1 else -(part >> v & 1) for v in g.vertices()))
+        nb[i] ^= 1 << j
+        nb[j] ^= 1 << i
+    return basis, rays
+
+
+def reference_hull_facets(g: Graph) -> tuple[FacetInequality, ...]:
+    """The DD facets of P(G) from the flood-fill cone, edge by edge in the
+    same order (basis first) with the same combinatorial adjacency test:
+    one comprehension per ray class, the adjacency scan by index, and every
+    combination weighted as it comes, then canonicalised and sorted."""
+    p = edge_polytope(g)
+    basis, rays = flood_fill_basis_cone(g)
+    if p.dim < 1:
+        return ()
+    order = basis + [e for e in range(g.m) if e not in basis]
+    n = len(rays)
+    masks = [((1 << n) - 1) ^ (1 << k) for k in range(n)]
+    edges = [g.edges[e] for e in order]
+    for step in range(n, len(order)):
+        i, j = edges[step]
+        vals = [r[i - 1] + r[j - 1] for r in rays]
+        bit = 1 << step
+        plus = [k for k, v in enumerate(vals) if v > 0]
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v >= 0]
+        for kp in plus:
+            for km in minus:
+                common = masks[kp] & masks[km]
+                if common.bit_count() < n - 2:
+                    continue
+                if any(common & om == common and other not in (kp, km)
+                       for other, om in enumerate(masks)):
+                    continue
+                lam, mu = vals[kp], -vals[km]
+                new_rays.append(primitive(mu * a + lam * b for a, b in zip(rays[kp], rays[km])))
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return tuple(sorted((canonical_inequality(p, r, "hull") for r in rays),
+                        key=lambda f: f.normal))
 
 
 def brute_window(g: Graph, q: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:

@@ -46,8 +46,11 @@ Digests (wall-clock `seconds` fields are dropped everywhere):
 
 The analyze, window, facets and predicted lines are read in one walk over
 the graphs, so each graph's facts are built once for all four while the
-per-graph caches hold them. Takes under a minute; pytest does not collect
-this file.
+per-graph caches hold them. The verify-theorem run drives that walk for
+n <= 7 and the toric lines of the 7-vertex graphs, so it shares their
+facts too. The two q5 sweeps are runs of their own over graphs the walk
+has read, and rebuild those (966). Takes under a minute; pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ import os
 import sys
 import tempfile
 
+from edgering import analysis
 from edgering.analysis import analyze, run_families
 from edgering.cli import main
 from edgering.ehrhart import h_star, interior_count, lattice_count, min_interior_q
@@ -145,35 +149,72 @@ GRAPH_LINES = {
 }
 
 
-def _graph_digests(names=tuple(GRAPH_LINES)) -> dict[str, str]:
-    """The named digests of GRAPH_LINES in one walk over the connected graphs
-    with 2 <= n <= 8: each graph is read once for every line it feeds, while
-    the per-graph caches still hold it, and each digest takes its graphs in
-    its own order. analyze and facets read every graph with n <= 7 and every
-    25th with n = 8, window the normal ones among every graph with n <= 7
-    and every 25th normal one with n = 8, and predicted every graph with
-    n <= 7 and then PREDICTED_SPECS."""
+def _walker(names, toric: list[str] | None = None):
+    """(feed, digests) of one walk over the connected graphs with 2 <= n <= 8
+    for the named lines of GRAPH_LINES. feed(n, i, g) reads the i-th graph
+    with n vertices, once for every line it feeds, while the per-graph caches
+    still hold it; digests() adds PREDICTED_SPECS and returns the hex
+    digests. analyze and facets read every graph with n <= 7 and every 25th
+    with n = 8, window the normal ones among every graph with n <= 7 and
+    every 25th normal one with n = 8, and predicted every graph with n <= 7
+    and then PREDICTED_SPECS. With a `toric` list, the toric lines of the
+    non-normal graphs with n = 7 are appended to it as they pass."""
     hashers = {name: hashlib.sha256() for name in names}
+    normal8 = 0
 
-    def feed(name, g):
+    def line(name, g):
         if name in hashers:
             hashers[name].update(GRAPH_LINES[name](g).encode())
 
+    def feed(n, i, g):
+        nonlocal normal8
+        if n < 8 or i % 25 == 0:
+            line("analyze", g)
+            line("facets", g)
+        if "window" in hashers and is_normal(g):
+            if n < 8 or normal8 % 25 == 0:
+                line("window", g)
+            if n == 8:
+                normal8 += 1
+        if n < 8:
+            line("predicted", g)
+        if toric is not None and n == 7 and not is_normal(g):
+            toric.append(_toric_lines(g, edge_polytope(g).dim + 2))
+
+    def digests():
+        for spec in PREDICTED_SPECS:
+            line("predicted", make_family(spec))
+        return {name: h.hexdigest() for name, h in hashers.items()}
+
+    return feed, digests
+
+
+def _graph_digests(names=tuple(GRAPH_LINES)) -> dict[str, str]:
+    """The named digests of GRAPH_LINES, in a walk of their own."""
+    feed, digests = _walker(names)
     for n in range(2, 9):
-        normal = 0
         for i, g in enumerate(connected_graphs(n)):
-            if n < 8 or i % 25 == 0:
-                feed("analyze", g)
-                feed("facets", g)
-            if "window" in hashers and is_normal(g):
-                if n < 8 or normal % 25 == 0:
-                    feed("window", g)
-                normal += 1
-            if n < 8:
-                feed("predicted", g)
-    for spec in PREDICTED_SPECS:
-        feed("predicted", make_family(spec))
-    return {name: h.hexdigest() for name, h in hashers.items()}
+            feed(n, i, g)
+    return digests()
+
+
+@contextlib.contextmanager
+def _feeding(feed):
+    """While open, each connected graph that the analysis module walks is
+    handed to feed(n, i, g) once the walker asks for the next one, that is
+    right after it has analysed it."""
+    real = analysis.connected_graphs
+
+    def graphs(n):
+        for i, g in enumerate(real(n)):
+            yield g
+            feed(n, i, g)
+
+    analysis.connected_graphs = graphs
+    try:
+        yield
+    finally:
+        analysis.connected_graphs = real
 
 
 def _analyze_digest(graphs) -> str:
@@ -196,22 +237,37 @@ def _q5_digest(tmp: str, m: int, n_max: int) -> str:
         return _sha(stdout + fh.read())
 
 
-def _toric_digest() -> str:
-    jobs = [(g, edge_polytope(g).dim + 2) for g in connected_graphs(7) if not is_normal(g)]
-    jobs += [(two_triangles_path(ell), ell + 4) for ell in range(1, 7)]
-    lines = []
-    for g, bound in jobs:
-        lines.append(repr((g.edges, minimal_generator_degrees(g, bound).degrees)) + "\n")
-        lines.extend(repr((g.edges, q, fibers(g, q))) + "\n" for q in range(1, 5))
-    return _sha("".join(lines))
+def _toric_lines(g, bound: int) -> str:
+    lines = [repr((g.edges, minimal_generator_degrees(g, bound).degrees)) + "\n"]
+    lines.extend(repr((g.edges, q, fibers(g, q))) + "\n" for q in range(1, 5))
+    return "".join(lines)
+
+
+def _toric_digest(lines7: list[str] | None = None) -> str:
+    """The toric line; `lines7` holds the lines of the non-normal graphs with
+    n = 7 when a walk has already read them."""
+    if lines7 is None:
+        lines7 = [_toric_lines(g, edge_polytope(g).dim + 2)
+                  for g in connected_graphs(7) if not is_normal(g)]
+    paths = [_toric_lines(two_triangles_path(ell), ell + 4) for ell in range(1, 7)]
+    return _sha("".join(lines7 + paths))
 
 
 def _digests():
-    """(name, digest) for every output, in the order they are printed."""
-    walked = _graph_digests()
-    yield "analyze", walked["analyze"]
+    """(name, digest) for every output, in the order they are printed. The
+    verify-theorem run walks the graphs with n <= 7 and feeds each one to the
+    per-graph lines (and the toric lines) right after it has analysed it, so
+    the two read each graph's facts once; the walk then goes on to n = 8."""
+    toric7: list[str] = []
+    feed, walked = _walker(tuple(GRAPH_LINES), toric7)
     with tempfile.TemporaryDirectory() as tmp:
-        yield "verify-theorem", _verify_digest(tmp)
+        with _feeding(feed):
+            verify = _verify_digest(tmp)
+        for i, g in enumerate(connected_graphs(8)):
+            feed(8, i, g)
+        walked = walked()
+        yield "analyze", walked["analyze"]
+        yield "verify-theorem", verify
         yield "q5", _q5_digest(tmp, 2, 6)
         yield "q5 m=3 nmax=7", _q5_digest(tmp, 3, 7)
     yield "codes n<=7", _sha(repr([connected_graph_bits(n) for n in range(1, 8)]))
@@ -220,7 +276,7 @@ def _digests():
     yield "automorphisms n<=7", _sha(repr(counts))
     yield "window", walked["window"]
     yield "facets", walked["facets"]
-    yield "toric", _toric_digest()
+    yield "toric", _toric_digest(toric7)
     yield "families", _families_digest()
     yield "interior", _analyze_digest(make_family(spec) for spec in INTERIOR_SPECS)
     yield "predicted", walked["predicted"]

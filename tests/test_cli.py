@@ -3,9 +3,11 @@ import json
 import pytest
 
 import edgering.cli
+import edgering.ehrhart
 import edgering.matching
 from edgering.analysis import CSV_HEADER
 from edgering.cli import main
+from edgering.ehrhart import BudgetExceededError
 from edgering.enumeration import MAX_N
 from edgering.graphs import render_graph, two_triangles_path
 from edgering.polytope import InvariantViolationError
@@ -69,6 +71,16 @@ def test_invariant_violation_has_its_own_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(edgering.cli, "analyze", broken)
     assert main(["analyze", "--family", "complete(3)"]) == 3
     assert "internal error: cross-check failed" in capsys.readouterr().err
+
+
+def test_exhausted_budget_has_its_own_exit_code(monkeypatch, capsys):
+    # a BudgetExceededError is a RuntimeError, but not an operational error
+    def over_budget(g):
+        raise BudgetExceededError("interior search over budget")
+
+    monkeypatch.setattr(edgering.ehrhart, "min_interior_q", over_budget)
+    assert main(["analyze", "--family", "complete(3)"]) == 4
+    assert "budget exceeded: interior search over budget" in capsys.readouterr().err
 
 
 def test_edge_cover_invariant_has_the_bug_exit_code(monkeypatch, capsys):

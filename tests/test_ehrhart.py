@@ -260,13 +260,13 @@ def test_inexact_facet_products_are_refused(monkeypatch, capsys):
     # with dilations up to 2**50, K8's facet values could leave the integers
     # float64 holds exactly; the facet matrix refuses them with
     # BudgetExceededError, not an assert that python -O drops, and the CLI
-    # reports that as a bad request (exit 1)
+    # reports that as an exhausted budget (exit 4)
     monkeypatch.setattr(edgering.ehrhart, "MAX_Q", 2 ** 50)
     edgering.ehrhart._facet_matrix.cache_clear()
     try:
         with pytest.raises(BudgetExceededError, match="float64"):
             edgering.ehrhart._facet_matrix(complete_graph(8))
-        assert main(["analyze", "--family", "complete(8)"]) == 1
+        assert main(["analyze", "--family", "complete(8)"]) == 4
         assert "not exact in float64" in capsys.readouterr().err
     finally:
         edgering.ehrhart._facet_matrix.cache_clear()

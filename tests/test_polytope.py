@@ -30,7 +30,14 @@ from edgering.polytope import (
     predicted_facets,
     primitive,
 )
-from oracles import bruteforce_facets, caratheodory_member, frac_rank, frac_rref
+from oracles import (
+    bruteforce_facets,
+    caratheodory_member,
+    flood_fill_basis_cone,
+    frac_rank,
+    frac_rref,
+    reference_hull_facets,
+)
 
 
 def test_vertices_and_dimension():
@@ -151,9 +158,9 @@ def test_initial_cone_is_read_off_the_basis_d6(monkeypatch):
     received = []
     real = edgering.polytope._hull_facets
 
-    def spy(p, order, rays):
+    def spy(g, equations, order, rays):
         received.append((order, rays))
-        return real(p, order, rays)
+        return real(g, equations, order, rays)
 
     monkeypatch.setattr(edgering.polytope, "_hull_facets", spy)
     for n in range(2, 7):
@@ -175,9 +182,9 @@ def test_hull_facets_reject_a_vanishing_ray():
     p = edge_polytope(g)
     basis, rays = _basis_cone(g)
     order = tuple(basis + [e for e in range(g.m) if e not in basis])
-    assert _hull_facets(p, order, rays) == p.facets()
+    assert _hull_facets(g, p.hull_equations, order, rays) == p.facets()
     with pytest.raises(InvariantViolationError, match="vanishing ray"):
-        _hull_facets(p, order, [(0,) * g.d] + rays[1:])
+        _hull_facets(g, p.hull_equations, order, [(0,) * g.d] + rays[1:])
 
 
 BASIS_CONE_SPECS = [
@@ -218,18 +225,37 @@ def test_basis_cone_matches_fraction_references():
                 assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), (g, k)
 
 
+def test_basis_cone_matches_the_flood_fill_reference():
+    # one BFS per component of the basis forest gives the same basis and the
+    # same rays, tuple for tuple, as one flood fill of F - k per basis edge
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
+    for g in graphs + [make_family(spec) for spec in BASIS_CONE_SPECS]:
+        assert _basis_cone(g) == flood_fill_basis_cone(g), g
+
+
+def test_hull_facets_match_the_reference_dd():
+    # the DD's facets, provenance and order included, equal those of the DD
+    # loop as first written, run from the flood-fill cone
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
+    graphs += random.Random(8).sample(connected_graphs(8), 400)
+    for g in graphs:
+        assert edge_polytope(g).facets() == reference_hull_facets(g), g
+
+
 @pytest.fixture
 def flipped_colouring(monkeypatch):
-    # a planted fault: the top vertex of every tree component changes sides
-    # in the colouring the polytope layer reads, so some initial ray is no
-    # longer 0 on a basis edge next to it
-    real = edgering.polytope.coloured_components
+    # a planted fault: the top vertex of every component of the basis forest
+    # changes sides in the depth parity the basis cone reads, so some
+    # initial ray is no longer 0 on a basis edge next to it
+    real = edgering.polytope._forest_bfs
 
-    def flipped(nb, inside):
-        for part, left in real(nb, inside):
-            yield part, None if left is None else left ^ (1 << part.bit_length() - 1)
+    def flipped(nb, d):
+        parent, below, root, even, closing = real(nb, d)
+        for r in set(root[1:]):
+            even ^= 1 << below[r].bit_length() - 1
+        return parent, below, root, even, closing
 
-    monkeypatch.setattr(edgering.polytope, "coloured_components", flipped)
+    monkeypatch.setattr(edgering.polytope, "_forest_bfs", flipped)
     edge_polytope.cache_clear()
     yield
     edge_polytope.cache_clear()
