@@ -34,4 +34,5 @@ print(f"{'family':32s} {'params':12s} {'mat':>4s} {'reg':>4s} {'expected':>9s} {
 for row in rows:
     exp = f"({row.expected_mat},{row.expected_reg})"
     ok = "yes" if row.match else "NO"
-    print(f"{row.family:32s} {row.params:12s} {row.mat:4d} {row.reg!s:>4s} {exp:>9s} {ok:>3s}")
+    print(f"{row.family:32s} {row.params:12s} {row.report.mat:4d} {row.report.reg!s:>4s} "
+          f"{exp:>9s} {ok:>3s}")

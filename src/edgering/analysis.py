@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .ehrhart import BudgetExceededError, ehrhart_profile
 from .enumeration import MAX_N, connected_graphs
@@ -27,20 +27,18 @@ from .toric import GeneratorProfile, minimal_generator_degrees
 CSV_HEADER = "family,params,d,edges,mat,mu,normal,dim,reg,expected_reg,verdict"
 
 
-def _csv_row(family, params, d, edge_count, mat, mu, normal, dim, reg, expected_reg,
-             verdict) -> str:
+def _csv_row(family: str, params: str, r: AnalysisReport, expected_reg, verdict: str) -> str:
     """One row in the columns of CSV_HEADER; an unknown reg is left empty."""
-    reg = "" if reg is None else reg
-    return (f"{family},{params},{d},{edge_count},{mat},{mu},{str(normal).lower()},{dim},"
-            f"{reg},{expected_reg},{verdict}")
+    reg = "" if r.reg is None else r.reg
+    return (f"{family},{params},{r.d},{r.edge_count},{r.mat},{r.mu},{str(r.normal).lower()},"
+            f"{r.dim},{reg},{expected_reg},{verdict}")
 
 
 def q5_csv_row(r: AnalysisReport) -> str:
     """The survey's row of one report: the graph is its params, and no reg
     is expected of it."""
     edges = " ".join(f"{i}-{j}" for i, j in r.edges)
-    return _csv_row("q5", f"d={r.d};edges={edges}", r.d, r.edge_count, r.mat, r.mu,
-                    r.normal, r.dim, r.reg, "", "empirical")
+    return _csv_row("q5", f"d={r.d};edges={edges}", r, "", "empirical")
 
 
 @dataclass(frozen=True)
@@ -172,6 +170,15 @@ def analyze(g: Graph, run_toric: bool = False, toric_qmax: int | None = None) ->
     )
 
 
+def _connected_up_to(n_max: int):
+    """Every connected graph on 2..n_max vertices, up to isomorphism, in
+    order of vertex count. n_max is checked on the call, before anything
+    is enumerated."""
+    if not (2 <= n_max <= MAX_N):
+        raise ValueError(f"n_max must be between 2 and {MAX_N}")
+    return (g for n in range(2, n_max + 1) for g in connected_graphs(n))
+
+
 @dataclass(frozen=True)
 class Verification:
     """Outcome of `verify_theorem`: graphs checked, how many were normal (and
@@ -189,68 +196,43 @@ def verify_theorem(n_max: int) -> Verification:
     No violation is the expected outcome. Non-normal graphs are counted but
     not analyzed (the bound does not apply).
     """
-    if not (2 <= n_max <= MAX_N):
-        raise ValueError(f"n_max must be between 2 and {MAX_N}")
     checked = normal = 0
     violations: list[AnalysisReport] = []
-    for n in range(2, n_max + 1):
-        for g in connected_graphs(n):
-            checked += 1
-            if not is_normal(g):
-                continue
-            normal += 1
-            report = analyze(g)
-            if report.verdict == "violated":
-                violations.append(report)
+    for g in _connected_up_to(n_max):
+        checked += 1
+        if not is_normal(g):
+            continue
+        normal += 1
+        report = analyze(g)
+        if report.verdict == "violated":
+            violations.append(report)
     return Verification(checked, normal, violations)
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One family instance: expected versus computed invariants."""
+    """One family instance: its report against the expected reg and mat."""
 
     family: str
     params: str
-    d: int
-    edge_count: int
-    mat: int
-    mu: int
-    normal: bool
-    dim: int
-    reg: int | None
+    report: AnalysisReport
     expected_reg: int
     expected_mat: int
-    match: bool
 
-    def verdict(self) -> str:
-        return "match" if self.match else "mismatch"
+    @property
+    def match(self) -> bool:
+        return self.report.reg == self.expected_reg and self.report.mat == self.expected_mat
 
     def csv_row(self) -> str:
-        return _csv_row(self.family, self.params, self.d, self.edge_count, self.mat, self.mu,
-                        self.normal, self.dim, self.reg, self.expected_reg, self.verdict())
+        return _csv_row(self.family, self.params, self.report, self.expected_reg,
+                        "match" if self.match else "mismatch")
 
     def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _family_row(family: str, params: str, g: Graph, expected_reg: int, expected_mat: int,
-                run_toric: bool = False, toric_qmax: int | None = None) -> SweepRow:
-    report = analyze(g, run_toric=run_toric, toric_qmax=toric_qmax)
-    match = report.reg == expected_reg and report.mat == expected_mat
-    return SweepRow(
-        family=family,
-        params=params,
-        d=g.d,
-        edge_count=g.m,
-        mat=report.mat,
-        mu=report.mu,
-        normal=report.normal,
-        dim=report.dim,
-        reg=report.reg,
-        expected_reg=expected_reg,
-        expected_mat=expected_mat,
-        match=match,
-    )
+        r = self.report
+        return {"family": self.family, "params": self.params, "d": r.d,
+                "edge_count": r.edge_count, "mat": r.mat, "mu": r.mu, "normal": r.normal,
+                "dim": r.dim, "reg": r.reg, "expected_reg": self.expected_reg,
+                "expected_mat": self.expected_mat, "match": self.match}
 
 
 def run_families(r_max: int, l_max: int) -> list[SweepRow]:
@@ -267,28 +249,16 @@ def run_families(r_max: int, l_max: int) -> list[SweepRow]:
         raise ValueError("l_max must be >= 1")
     rows: list[SweepRow] = []
     for r in range(2, r_max + 1):
+        bases = [("complete_plus_path", complete_graph(2 * r), 0),
+                 ("complete_bipartite_plus_path", complete_bipartite_graph(r + 1, r + 1), 1)]
         for m in range(r, r + 3):
-            h = complete_graph(2 * r)
-            g = h if m == r else attach_path(h, 1, 2 * (m - r))
-            rows.append(_family_row("complete_plus_path", f"r={r};m={m}", g, r, m))
-            hb = complete_bipartite_graph(r + 1, r + 1)
-            gb = hb if m == r else attach_path(hb, 1, 2 * (m - r))
-            rows.append(
-                _family_row("complete_bipartite_plus_path", f"r={r};m={m}", gb, r, m + 1)
-            )
+            for family, h, extra_mat in bases:
+                g = h if m == r else attach_path(h, 1, 2 * (m - r))
+                rows.append(SweepRow(family, f"r={r};m={m}", analyze(g), r, m + extra_mat))
     for ell in range(1, l_max + 1):
-        g = two_triangles_path(ell)
-        rows.append(
-            _family_row(
-                "two_triangles_path",
-                f"l={ell}",
-                g,
-                expected_reg=ell + 2,
-                expected_mat=2 + math.ceil(ell / 2),
-                run_toric=True,
-                toric_qmax=ell + 4,
-            )
-        )
+        report = analyze(two_triangles_path(ell), run_toric=True, toric_qmax=ell + 4)
+        rows.append(SweepRow("two_triangles_path", f"l={ell}", report, ell + 2,
+                             2 + math.ceil(ell / 2)))
     return rows
 
 
@@ -303,15 +273,12 @@ def question5_sweep(m: int, n_max: int, toric_qmax: int | None = None) -> dict:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not (2 <= n_max <= MAX_N):
-        raise ValueError(f"n_max must be between 2 and {MAX_N}")
     reports: list[AnalysisReport] = []
-    for n in range(2, n_max + 1):
-        for g in connected_graphs(n):
-            if matching_number(g) != m:
-                continue
-            qmax = toric_qmax if toric_qmax is not None else edge_polytope(g).dim + 2
-            reports.append(analyze(g, run_toric=not is_normal(g), toric_qmax=max(2, qmax)))
+    for g in _connected_up_to(n_max):
+        if matching_number(g) != m:
+            continue
+        qmax = toric_qmax if toric_qmax is not None else edge_polytope(g).dim + 2
+        reports.append(analyze(g, run_toric=not is_normal(g), toric_qmax=max(2, qmax)))
     non_normal = [r for r in reports if not r.normal]
     return {
         "m": m,

@@ -2,9 +2,10 @@
 exhaustively, sweep the constructed families, and survey by matching number.
 
 Exit status is 0 only when no verification failed and no error occurred;
-failures are reported on stderr. An internal cross-check failure (a bug, not
-bad input) exits with its own status, 3, and an exhausted work budget
-(`BudgetExceededError`, the input is too large for a bound) with 4.
+failures are reported on stderr. A usage error exits 1, like any other error.
+An internal cross-check failure (a bug, not bad input) exits with its own
+status, 3, and an exhausted work budget (`BudgetExceededError`, the input is
+too large for a bound) with 4.
 """
 
 from __future__ import annotations
@@ -159,7 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors exit 2, the violation status
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except InvariantViolationError as exc:

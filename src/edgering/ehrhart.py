@@ -55,8 +55,9 @@ graph.
 
 Coordinates in a dilation q*P are bounded by q <= 15, so points are packed
 into single integers base 16 for deduplication; `_radix_weights` is the one
-encoder (the toric module's fibers use it too) and refuses any point set whose
-codes could leave int64.
+encoder and refuses any point set whose codes could leave int64. The codes of
+the edge vectors come from `_edge_codes`, which the ring-side sums and the
+toric module's fibers share.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ def _radix_weights(d: int, cap: int) -> np.ndarray:
             f"base-16 codes of {d} coordinates up to {cap} do not fit in int64"
         )
     return 16 ** np.arange(d, dtype=np.int64)
+
+
+def _edge_codes(g: Graph, cap: int) -> np.ndarray:
+    """The base-16 codes of G's edge vectors, as points in [0, cap]^d."""
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2) - 1
+    return _radix_weights(g.d, cap)[ends].sum(axis=1)
 
 
 def _pack(points: np.ndarray) -> np.ndarray:
@@ -417,10 +424,8 @@ def _idp_packed(g: Graph, q: int) -> np.ndarray:
         arr.setflags(write=False)
         return arr
     # sums of q edge vectors have coordinates at most q
-    weights = _radix_weights(g.d, q)
-    deltas = np.array([weights[i - 1] + weights[j - 1] for i, j in g.edges], dtype=np.int64)
     prev = _idp_packed(g, q - 1)
-    sums = (prev[:, None] + deltas[None, :]).ravel()
+    sums = (prev[:, None] + _edge_codes(g, q)[None, :]).ravel()
     arr = np.unique(sums)
     arr.setflags(write=False)
     return arr

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrhart import MAX_Q, BudgetExceededError, _radix_weights, _unpack
+from .ehrhart import MAX_Q, BudgetExceededError, _edge_codes, _radix_weights, _unpack
 from .graphs import Graph
 from .polytope import InvariantViolationError
 
@@ -84,8 +84,7 @@ def _levels(g: Graph, q_max: int):
     that k extends are a prefix of the level below, `prefix[k]` long, and a
     level is a few gathers of the one below. At most two levels are held.
     """
-    weights = _radix_weights(g.d, q_max)
-    deltas = np.array([weights[i - 1] + weights[j - 1] for i, j in g.edges], dtype=np.int64)
+    deltas = _edge_codes(g, q_max)
     bits = np.zeros((g.m, -(-g.m // 64)), dtype=np.uint64)
     for k in range(g.m):
         bits[k, k // 64] = 1 << (k % 64)

@@ -110,12 +110,12 @@ def test_criterion_2_families():
     for row in rows:
         if row.family == "complete_plus_path":
             r, m = (int(x.split("=")[1]) for x in row.params.split(";"))
-            assert row.reg == r, row
-            assert row.mat == m, row
+            assert row.report.reg == r, row
+            assert row.report.mat == m, row
         elif row.family == "complete_bipartite_plus_path":
             r, m = (int(x.split("=")[1]) for x in row.params.split(";"))
-            assert row.reg == r, row
-            assert row.mat == m + 1, row
+            assert row.report.reg == r, row
+            assert row.report.mat == m + 1, row
     swept = {(row.family, row.params) for row in rows}
     for r in (2, 3):
         for m in range(r, r + 3):

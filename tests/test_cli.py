@@ -1,7 +1,8 @@
+import ast
+import dataclasses
 import json
 
-import pytest
-
+import edgering.analysis
 import edgering.cli
 import edgering.ehrhart
 import edgering.matching
@@ -133,5 +134,39 @@ def test_vertex_limit_exits_with_error(capsys):
 
 
 def test_subcommand_required():
-    with pytest.raises(SystemExit):
-        main([])
+    assert main([]) == 1
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    # argparse's own status for a usage error is 2, the violation status
+    assert main(["verify-theorem"]) == 1
+    assert main(["verify-theorem", "--nmax", "x"]) == 1
+    assert main(["analyze", "--bogus"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_families_mismatch_exits_2(tmp_path, monkeypatch, capsys):
+    real = edgering.analysis.analyze
+
+    def off_by_one(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, reg=report.reg + 1)
+
+    monkeypatch.setattr(edgering.analysis, "analyze", off_by_one)
+    out = tmp_path / "rows.csv"
+    assert main(["families", "--rmax", "2", "--lmax", "1", "--csv", str(out)]) == 2
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 7
+    assert all(row.endswith(",mismatch") for row in rows)
+    err = capsys.readouterr().err.splitlines()
+    mismatches = [ast.literal_eval(line.removeprefix("mismatch: "))
+                  for line in err if line.startswith("mismatch: ")]
+    assert len(mismatches) == len(rows)
+    keys = ["family", "params", "d", "edge_count", "mat", "mu", "normal", "dim", "reg",
+            "expected_reg", "expected_mat", "match"]
+    for row in mismatches:
+        assert list(row) == keys
+        assert row["match"] is False
+        assert row["reg"] == row["expected_reg"] + 1
