@@ -25,7 +25,6 @@ from .ehrhart import (
 )
 from .enumeration import connected_graphs
 from .graphs import (
-    Bipartition,
     Graph,
     GraphParseError,
     NotConnectedError,
@@ -34,7 +33,6 @@ from .graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
-    induced_subgraph,
     is_bipartite,
     is_connected,
     make_family,

@@ -53,6 +53,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.qmax is not None and not args.toric:
+        raise ValueError("--qmax bounds the toric analysis; give it with --toric")
     g = _load_graph(args)
     report = analyze(g, run_toric=args.toric, toric_qmax=args.qmax)
     payload = report.to_dict()

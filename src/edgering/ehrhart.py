@@ -16,8 +16,8 @@ One enumerator, `_shape_blocks`, yields the integer vectors on the scaled
 hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows. It works
 on a shape, d plus the side sizes when G is bipartite, laid out left side
 first; `_candidate_blocks` places its columns in G's own order, for the
-points and for the interior search, which runs on G with its pendant
-vertices stripped. The box (lo = 0) holds every lattice point of qP, the
+points, and the interior search scans the layout of G's leaf core, a vertex
+mask of G. The box (lo = 0) holds every lattice point of qP, the
 all-positive slice (lo = 1) every relative-interior point. Every block is
 tested against one facet kernel, `_facet_min`: the facet normals h of P,
 h.x >= 0 on every dilation, built once per graph, give through float64
@@ -72,7 +72,6 @@ import numpy as np
 from .graphs import (
     GRAPH_CACHE,
     Graph,
-    induced_subgraph,
     is_bipartite,
     mask_vertices,
     neighbour_masks,
@@ -234,20 +233,23 @@ def _facet_min(h: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layout(g: Graph) -> tuple[tuple[int, int] | None, np.ndarray]:
-    """(sides, order): the side sizes of G when it is bipartite (None
-    otherwise), and G's columns in the layout of that shape, left side first:
-    coordinate k of the layout is column order[k] of G."""
+def _layout(g: Graph, kept: int | None = None) -> tuple[tuple[int, int] | None, np.ndarray]:
+    """(sides, order) of the vertices in the mask `kept`, all of G by
+    default: their side sizes when G is bipartite (None otherwise), and their
+    columns of G in the layout of that shape, left side first: coordinate k
+    of the layout is column order[k] of G."""
+    kept = vertex_mask(g) if kept is None else kept
     bip = is_bipartite(g)
     if bip is None:
-        return None, np.arange(g.d)
-    return (len(bip.left), len(bip.right)), np.array([*sorted(bip.left), *sorted(bip.right)]) - 1
+        return None, np.array(mask_vertices(kept)) - 1
+    left, right = mask_vertices(kept & bip), mask_vertices(kept & ~bip)
+    return (len(left), len(right)), np.array(left + right) - 1
 
 
 def _candidate_blocks(g: Graph, q: int, lo: int):
     """Integer vectors with lo <= x_i <= q satisfying the hull equations of
-    qP, in blocks of about _BLOCK_ROWS rows: lo = 0 gives every candidate of
-    the points, lo = 1 the all-positive slice of the interior search."""
+    qP, in G's columns, in blocks of about _BLOCK_ROWS rows: lo = 0 gives
+    every candidate of the points, lo = 1 the all-positive slice."""
     sides, order = _layout(g)
     return _shape_blocks(g.d, sides, order, q, lo)
 
@@ -458,10 +460,10 @@ def check_idp(g: Graph, q_max: int) -> bool:
 # Interior threshold and regularity
 # ---------------------------------------------------------------------------
 
-def _leaf_core(g: Graph) -> tuple[int, ...]:
-    """The vertices left, sorted, after deleting degree-1 vertices one at a
-    time while more than two vertices remain: every vertex off a pendant tree
-    of a connected G, or the two ends of one edge when G is a tree."""
+def _leaf_core(g: Graph) -> int:
+    """The mask of the vertices left after deleting degree-1 vertices one at
+    a time while more than two vertices remain: every vertex off a pendant
+    tree of a connected G, or the two ends of one edge when G is a tree."""
     nb = neighbour_masks(g)
     degree = [m.bit_count() for m in nb]
     kept, left = vertex_mask(g), g.d
@@ -474,7 +476,7 @@ def _leaf_core(g: Graph) -> tuple[int, ...]:
         degree[u] -= 1
         if degree[u] == 1:
             leaves.append(u)
-    return tuple(mask_vertices(kept))
+    return kept
 
 
 def min_interior_q(g: Graph) -> int:
@@ -493,26 +495,27 @@ def min_interior_q(g: Graph) -> int:
     over P(G - v) with its apex at lattice height 1: a lattice point of
     relint qP(G) is y + k (e_u + e_v) with 0 < k < q and y in
     relint (q - k)P(G - v), hence min_interior_q(G) = min_interior_q(G - v) + 1.
-    The scan therefore runs on the core C that `_leaf_core` keeps, and adds
-    the number of leaves stripped. C's facets come from G's facet matrix, with
-    no second DD: P(G) is an iterated pyramid over P(C), whose facets are
-    those containing all of P(C), which vanish on every edge of C, and the
-    pyramids over the facets of P(C). So the rows of G's matrix that are
-    nonzero on some edge of C, restricted to C's columns, are facet normals
-    of P(C), one per facet.
+    The scan therefore runs on the core C, the vertex mask `_leaf_core`
+    keeps, in C's layout `_layout(g, kept)` (C keeps every cycle of G, so it
+    is bipartite exactly when G is), and adds the number of leaves stripped;
+    no second graph is built and no second DD runs. P(G) is an iterated
+    pyramid over P(C), whose facets are those containing all of P(C), which
+    vanish on every edge of C, and the pyramids over the facets of P(C).
+    So the rows of G's matrix that are nonzero on some edge inside C,
+    permuted to C's layout, are facet normals of P(C), one per facet.
     """
     if not is_normal(g):
         raise NotNormalError("interior threshold is computed for normal edge rings only")
     kept = _leaf_core(g)
-    core, h = g, _facet_matrix(g)
-    if len(kept) < g.d:
-        core, _ = induced_subgraph(g, kept)
-        h = h[:, np.array(kept) - 1]
-        ends = np.array(core.edges) - 1
+    sides, order = _layout(g, kept)
+    h = _facet_matrix(g)
+    if kept != vertex_mask(g):
+        ends = np.array([(i, j) for i, j in g.edges if kept >> i & kept >> j & 1]) - 1
         h = h[np.any(h[:, ends[:, 0]] + h[:, ends[:, 1]] != 0, axis=1)]
-    leaves = g.d - core.d
-    for q in range((core.d + 1) // 2, edge_polytope(g).dim - leaves + 2):
-        if any(np.any(_facet_min(h, block) > 0) for block in _candidate_blocks(core, q, 1)):
+    h, d = h[:, order], len(order)
+    leaves, cols = g.d - d, np.arange(d)
+    for q in range((d + 1) // 2, edge_polytope(g).dim - leaves + 2):
+        if any(np.any(_facet_min(h, block) > 0) for block in _shape_blocks(d, sides, cols, q, 1)):
             return q + leaves
     raise InvariantViolationError(
         "no interior lattice point found by dim + 1; input is non-normal or a bug"

@@ -7,10 +7,12 @@ cost of reading one field.
 
 Every structure query reads one form of the graph, `neighbour_masks(g)`: a
 tuple of Python ints with bit v set in entry u when {u, v} is an edge (index
-0 and bit 0 unused). A vertex set is a mask in the same bits. Components and
+0 and bit 0 unused). A vertex set is a mask in the same bits, and so is a
+bipartition: `is_bipartite` returns its left side. Components and
 2-colorings are one layered flood fill, `coloured_components`, inside a
 vertex mask, so callers can ask them of an induced subgraph without building
-it; `is_connected` is a plain flood fill from vertex 1.
+it; `is_connected` is a plain flood fill from vertex 1. No query builds a
+second `Graph`.
 
 Every cache keyed on a graph, here and in the layers above, holds
 `GRAPH_CACHE` entries: an analysis re-reads its graph's facts only while it
@@ -191,15 +193,10 @@ def render_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    left: frozenset[int]
-    right: frozenset[int]
-
-
 @lru_cache(maxsize=GRAPH_CACHE)
-def is_bipartite(g: Graph) -> Bipartition | None:
-    """Return a 2-coloring if one exists, else None.
+def is_bipartite(g: Graph) -> int | None:
+    """The vertex mask of the left side of a 2-coloring, or None when G has
+    an odd cycle.
 
     Disconnected input is allowed; each component is colored with its minimum
     vertex on the left side, and sides are merged across components.
@@ -209,8 +206,7 @@ def is_bipartite(g: Graph) -> Bipartition | None:
         if part is None:
             return None
         left |= part
-    right = vertex_mask(g) & ~left
-    return Bipartition(frozenset(mask_vertices(left)), frozenset(mask_vertices(right)))
+    return left
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
@@ -230,25 +226,6 @@ def is_connected(g: Graph) -> bool:
         frontier = neighbourhood(nb, frontier) & ~seen
         seen |= frontier
     return seen == vertex_mask(g)
-
-
-def induced_subgraph(g: Graph, w) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on w, relabeled 1..|w|.
-
-    Returns (subgraph, kept) where kept[k-1] is the original label of the new
-    vertex k. Raises on an empty or invalid vertex set.
-    """
-    kept = tuple(sorted(set(w)))
-    if not kept:
-        raise ValueError("induced subgraph on an empty vertex set")
-    if kept[0] < 1 or kept[-1] > g.d:
-        raise ValueError(f"vertex set {kept} not contained in 1..{g.d}")
-    index = {v: k + 1 for k, v in enumerate(kept)}
-    inside = set(kept)
-    edges = tuple(
-        sorted((index[i], index[j]) for i, j in g.edges if i in inside and j in inside)
-    )
-    return Graph(len(kept), edges), kept
 
 
 # ---------------------------------------------------------------------------

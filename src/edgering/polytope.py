@@ -110,10 +110,10 @@ def edge_polytope(g: Graph) -> EdgePolytope:
     if not is_connected(g):
         raise NotConnectedError("edge polytope is defined for connected graphs")
     verts = tuple(_edge_vector(g.d, e) for e in g.edges)
-    bip = is_bipartite(g)
+    left = is_bipartite(g)
     basis, rays = _basis_cone(g)
     dim = len(basis) - 1
-    expected = g.d - 2 if bip is not None else g.d - 1
+    expected = g.d - 2 if left is not None else g.d - 1
     if dim != expected:
         raise InvariantViolationError(
             f"certified dimension {dim} != structural dimension {expected}"
@@ -122,8 +122,7 @@ def edge_polytope(g: Graph) -> EdgePolytope:
     # sum x = 2 on every vertex, and chi_L.x = 1 when each edge has exactly
     # one end in the left side L
     holds = all(sum(v) == 2 for v in verts)
-    if bip is not None:
-        left = sum(1 << v for v in bip.left)
+    if left is not None:
         equations += ((tuple(left >> v & 1 for v in g.vertices()), 1),)
         holds = holds and all((left >> i ^ left >> j) & 1 for i, j in g.edges)
     if not holds:

@@ -32,7 +32,7 @@ import numpy as np
 
 from edgering.ehrhart import _candidate_blocks, _facet_matrix, _facet_min
 from edgering.enumeration import canonical_bits, edge_slots
-from edgering.graphs import Bipartition, Graph, coloured_components, vertex_mask
+from edgering.graphs import Graph, coloured_components, vertex_mask
 from edgering.polytope import FacetInequality, canonical_inequality, edge_polytope, primitive
 
 
@@ -133,9 +133,9 @@ def bfs_components(g: Graph) -> list[frozenset[int]]:
     return parts
 
 
-def bfs_bipartition(g: Graph) -> Bipartition | None:
-    """2-coloring by breadth-first search: each component's minimum vertex on
-    the left, sides merged across components; None on an odd cycle."""
+def bfs_bipartition(g: Graph) -> int | None:
+    """2-coloring by breadth-first search: the vertex mask of the left side,
+    which holds each component's minimum vertex; None on an odd cycle."""
     adj = adjacency(g)
     color: dict[int, int] = {}
     for root in g.vertices():
@@ -151,9 +151,7 @@ def bfs_bipartition(g: Graph) -> Bipartition | None:
                     queue.append(u)
                 elif color[u] == color[v]:
                     return None
-    left = frozenset(v for v, c in color.items() if c == 0)
-    right = frozenset(v for v, c in color.items() if c == 1)
-    return Bipartition(left, right)
+    return sum(1 << v for v, c in color.items() if c == 0)
 
 
 def pairwise_odd_cycle_condition(g: Graph, odd_cycles) -> bool:

@@ -89,14 +89,17 @@ def test_every_per_graph_cache_holds_the_one_bound():
 
 
 def test_verify_theorem_reads_each_fact_once_per_graph():
-    # one DD, one facet matrix, one normality test and one matching per
-    # graph, and no cache keeps more than GRAPH_CACHE of the graphs analysed
+    # one DD, one facet matrix, one normality test, one matching, one set of
+    # neighbour masks and one bipartition per graph: the interior search
+    # reads the leaf core as a vertex mask and builds no second graph, and no
+    # cache keeps more than GRAPH_CACHE of the graphs analysed
     caches = _graph_caches()
     for f in caches.values():
         f.cache_clear()
     result = verify_theorem(6)
     assert (result.checked, result.normal) == (142, 142)
-    for name in ("edge_polytope", "_facet_matrix", "is_normal", "maximum_matching"):
+    for name in ("neighbour_masks", "is_bipartite", "edge_polytope", "_facet_matrix",
+                 "is_normal", "maximum_matching"):
         assert caches[name].cache_info().misses == 142, name
     assert all(f.cache_info().currsize <= GRAPH_CACHE for f in caches.values())
 

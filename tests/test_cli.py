@@ -143,6 +143,9 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert main(["verify-theorem", "--nmax", "x"]) == 1
     assert main(["analyze", "--bogus"]) == 1
     assert "usage:" in capsys.readouterr().err
+    # --qmax bounds only the toric analysis, which would silently ignore it
+    assert main(["analyze", "--family", "two_triangles_path(2)", "--qmax", "6"]) == 1
+    assert "--toric" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
 

@@ -31,6 +31,7 @@ from edgering.graphs import (
     complete_graph,
     cycle_graph,
     is_bipartite,
+    mask_vertices,
     path_graph,
     star_graph,
     two_triangles_path,
@@ -40,7 +41,6 @@ from edgering.normality import is_normal
 from edgering.polytope import InvariantViolationError, contains, edge_polytope
 from edgering.toric import fibers
 from oracles import (
-    adjacency,
     brute_window,
     hstar_from_counts,
     multidegree_classes,
@@ -138,31 +138,30 @@ def test_min_interior_q_examples():
 def test_interior_search_beyond_the_window_bound(monkeypatch):
     # the interior search runs up to q = dim + 1 = 16, past the window's
     # MAX_Q, so the facet kernel's exactness bound must cover q = 16. star(17)
-    # is scanned on K2 and offset by its 15 stripped leaves; the leafless
-    # K_{2,16} is scanned itself, up to q = 16
+    # is scanned on its K2 core, once, and offset by its 15 stripped leaves;
+    # the leafless K_{2,16} is scanned itself, up to q = 16
     assert edgering.ehrhart.MAX_Q < 16
-    real_blocks = edgering.ehrhart._candidate_blocks
+    real_blocks = edgering.ehrhart._shape_blocks
     scanned = []
 
-    def blocks(g, q, lo):
-        scanned.append((g, q, lo))
-        return real_blocks(g, q, lo)
+    def blocks(d, sides, cols, q, lo):
+        scanned.append((d, sides, q, lo))
+        return real_blocks(d, sides, cols, q, lo)
 
-    monkeypatch.setattr(edgering.ehrhart, "_candidate_blocks", blocks)
-    for g in (star_graph(17), complete_bipartite_graph(2, 16)):
-        assert min_interior_q(g) == 16
-    k216 = complete_bipartite_graph(2, 16)
-    assert (k216, 16, 1) in scanned
-    assert [(g.d, q) for g, q, _ in scanned if g != k216] == [(2, 1)]
+    monkeypatch.setattr(edgering.ehrhart, "_shape_blocks", blocks)
+    assert min_interior_q(star_graph(17)) == 16
+    assert scanned == [(2, (1, 1), 1, 1)]
+    assert min_interior_q(complete_bipartite_graph(2, 16)) == 16
+    assert scanned[-1] == (18, (2, 16), 16, 1)
 
 
 def test_leaf_core():
     leaf_core = edgering.ehrhart._leaf_core
     for tree in (path_graph(7), star_graph(6), path_graph(3)):
-        assert len(leaf_core(tree)) == 2
-    assert leaf_core(complete_graph(2)) == (1, 2)
-    assert leaf_core(cycle_graph(6)) == tuple(range(1, 7))
-    assert leaf_core(attach_path(complete_graph(4), 1, 2)) == (1, 2, 3, 4)
+        assert leaf_core(tree).bit_count() == 2
+    assert mask_vertices(leaf_core(complete_graph(2))) == [1, 2]
+    assert mask_vertices(leaf_core(cycle_graph(6))) == list(range(1, 7))
+    assert mask_vertices(leaf_core(attach_path(complete_graph(4), 1, 2))) == [1, 2, 3, 4]
 
 
 def test_min_interior_q_matches_unreduced_scan():
@@ -183,7 +182,8 @@ def test_cross_check_guards_the_reduced_route(monkeypatch, capsys):
     # a core one vertex too small gives a wrong threshold, which the h* degree
     # catches wherever the window runs
     real = edgering.ehrhart._leaf_core
-    monkeypatch.setattr(edgering.ehrhart, "_leaf_core", lambda g: real(g)[1:])
+    # kept & kept - 1 drops the least vertex of the core
+    monkeypatch.setattr(edgering.ehrhart, "_leaf_core", lambda g: real(g) & real(g) - 1)
     with pytest.raises(InvariantViolationError):
         ehrhart_profile(attach_path(complete_graph(4), 1, 2))
     assert main(["analyze", "--family", "attach_path(complete(4),1,2)"]) == 3
@@ -361,21 +361,17 @@ def test_planted_counterexample_is_reported(monkeypatch, capsys):
     mu = k24.d - matching_number(k24)
     assert (k24.d + 1) // 2 == mu - 1 == 3
     planted = np.ones((1, k24.d), dtype=np.int16)
-    real_blocks = edgering.ehrhart._candidate_blocks
+    real_blocks = edgering.ehrhart._shape_blocks
     real_min = edgering.ehrhart._facet_min
 
-    def is_k24(g):
-        # the only bipartite graph on 6 vertices with degrees 4, 4, 2, 2, 2, 2
-        adj = adjacency(g)
-        degrees = sorted(len(adj[v]) for v in g.vertices())
-        return g.d == k24.d and degrees == [2, 2, 2, 2, 4, 4] and is_bipartite(g) is not None
-
-    def blocks(g, q, lo):
-        yield from real_blocks(g, q, lo)
-        if is_k24(g) and (q, lo) == (mu - 1, 1):
+    def blocks(d, sides, cols, q, lo):
+        yield from real_blocks(d, sides, cols, q, lo)
+        # K_{2,4} is the only leafless shape on 6 vertices with sides {2, 4}:
+        # each vertex of the larger side needs both of the smaller
+        if d == k24.d and sorted(sides or ()) == [2, 4] and (q, lo) == (mu - 1, 1):
             yield planted
 
-    monkeypatch.setattr(edgering.ehrhart, "_candidate_blocks", blocks)
+    monkeypatch.setattr(edgering.ehrhart, "_shape_blocks", blocks)
     monkeypatch.setattr(edgering.ehrhart, "_facet_min",
                         lambda h, cand: np.ones(1) if cand is planted else real_min(h, cand))
     assert main(["verify-theorem", "--nmax", "6"]) == 2
@@ -703,8 +699,8 @@ def test_facet_products_stay_under_the_thread_bound(monkeypatch):
         products.clear()
         h_star(g)
         issued.append(len(products))
-        bip = is_bipartite(g)
-        sides = None if bip is None else (len(bip.left), len(bip.right))
+        left = is_bipartite(g)
+        sides = None if left is None else (left.bit_count(), g.d - left.bit_count())
         rows = sum(edgering.ehrhart._candidate_rows(g.d, sides, q, lo)
                    for q, lo in _window_dilations(g.d, edge_polytope(g).dim))
         assert sum(r for _, _, r in products) == rows

@@ -13,6 +13,7 @@ from edgering.graphs import (
     cycle_graph,
     is_bipartite,
     make_family,
+    mask_vertices,
     neighbour_masks,
     path_graph,
     star_graph,
@@ -378,11 +379,11 @@ def test_facets_are_in_normal_form_d6():
     # graph shifted until its minimum over the left side is 0
     for n in range(2, 7):
         for g in connected_graphs(n):
-            bip = is_bipartite(g)
+            left = is_bipartite(g)
             for f in edge_polytope(g).facets() + predicted_facets(g):
                 assert gcd(*f.normal) == 1, (g, f)
-                if bip is not None:
-                    assert min(f.normal[v - 1] for v in bip.left) == 0, (g, f)
+                if left is not None:
+                    assert min(f.normal[v - 1] for v in mask_vertices(left)) == 0, (g, f)
 
 
 def test_facet_form_properties():
@@ -397,8 +398,8 @@ def test_facet_form_properties():
         p = edge_polytope(g)
         f = data.draw(st.sampled_from(p.facets()))
         # positive scaling, plus any multiple of chi_L - chi_R when bipartite
-        bip = is_bipartite(g)
-        delta = [0] * g.d if bip is None else [1 if v in bip.left else -1 for v in g.vertices()]
+        left = is_bipartite(g)
+        delta = [0] * g.d if left is None else [1 if left >> v & 1 else -1 for v in g.vertices()]
         c = data.draw(st.integers(1, 7))
         t = data.draw(st.integers(-9, 9))
         moved = [c * h + t * e for h, e in zip(f.normal, delta)]
