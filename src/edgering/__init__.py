@@ -31,7 +31,6 @@ from .graphs import (
     attach_path,
     complete_bipartite_graph,
     complete_graph,
-    connected_components,
     cycle_graph,
     is_bipartite,
     is_connected,

@@ -273,12 +273,14 @@ def question5_sweep(m: int, n_max: int, toric_qmax: int | None = None) -> dict:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if toric_qmax is not None and toric_qmax < 2:
+        raise ValueError("q_max must be >= 2")
     reports: list[AnalysisReport] = []
     for g in _connected_up_to(n_max):
         if matching_number(g) != m:
             continue
         qmax = toric_qmax if toric_qmax is not None else edge_polytope(g).dim + 2
-        reports.append(analyze(g, run_toric=not is_normal(g), toric_qmax=max(2, qmax)))
+        reports.append(analyze(g, run_toric=not is_normal(g), toric_qmax=qmax))
     non_normal = [r for r in reports if not r.normal]
     return {
         "m": m,

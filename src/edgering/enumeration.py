@@ -29,9 +29,8 @@ the products of the color classes' permutations while there are at most
 1536, else over all n! orderings, for the graphs of each class-size tuple
 together in gathers of about 65,536 code rows; `canonical_bits` is its
 one-row call. `_automorphisms` keeps the color-preserving permutations that
-reproduce the graph's own code; the orbit rule and `automorphism_count` read
-them. All refuse n outside 1..MAX_N with ValueError rather than build an
-n!-row table."""
+reproduce the graph's own code; the orbit rule reads them. All refuse n
+outside 1..MAX_N with ValueError rather than build an n!-row table."""
 
 from __future__ import annotations
 
@@ -235,8 +234,3 @@ def connected_graph_bits(n: int) -> tuple[int, ...]:
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on exactly n vertices, one per isomorphism class."""
     return [bits_to_graph(n, bits) for bits in connected_graph_bits(n)]
-
-
-def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group."""
-    return len(_automorphisms(g.d, graph_to_bits(g)))

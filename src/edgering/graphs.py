@@ -209,12 +209,6 @@ def is_bipartite(g: Graph) -> int | None:
     return left
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertex set into components, ordered by minimum vertex."""
-    return [frozenset(mask_vertices(comp))
-            for comp, _ in coloured_components(neighbour_masks(g), vertex_mask(g))]
-
-
 def is_connected(g: Graph) -> bool:
     # a connected graph on d vertices has at least d - 1 edges; deciding that
     # first keeps a huge vertex count with few edges from allocating anything

@@ -39,26 +39,6 @@ class EdgeCover:
         return len(self.edges)
 
 
-def is_matching(g: Graph, edges) -> bool:
-    used: set[int] = set()
-    for i, j in edges:
-        if (min(i, j), max(i, j)) not in g.edges:
-            return False
-        if i in used or j in used:
-            return False
-        used.update((i, j))
-    return True
-
-
-def is_edge_cover(g: Graph, edges) -> bool:
-    covered: set[int] = set()
-    for i, j in edges:
-        if (min(i, j), max(i, j)) not in g.edges:
-            return False
-        covered.update((i, j))
-    return covered == set(g.vertices())
-
-
 def _augment_from(root: int, n: int, adj: list[list[int]], match: list[int]) -> bool:
     """Grow an alternating tree from `root`, contracting blossoms on the fly.
 

@@ -19,13 +19,10 @@ graph connected (bipartite case), and hyperplane facets from independent sets
 whose neighborhood structure is connected with a suitable complement. Both
 outputs are brought to the canonical form, so they compare as sets.
 
-The basis edges and the initial simplicial cone of the double description
-are read off the graph (`_basis_cone`): the edge vectors' linear matroid is
-the even-cycle matroid of G, and each initial ray alternates +-1 on a tree
-of the basis forest. One BFS of each component of that forest gives every
-ray in a few bit operations on its depth parity and subtree masks. A
-certificate checks every ray against the basis, and the basis size against
-the structural dimension.
+The double description adds G's vertices one at a time in BFS order
+(`_hull_facets`): each vertex's edge to its parent, and the first edge that
+closes an odd cycle, make the cone a pyramid, and every other edge is one DD
+step. Each lift is certified where it happens.
 """
 
 from __future__ import annotations
@@ -97,10 +94,6 @@ class EdgePolytope:
     def facets(self) -> tuple[FacetInequality, ...]:
         return self._facets
 
-    def tight_vertices(self, facet: FacetInequality) -> tuple[int, ...]:
-        """Indices (into self.vertices) where the facet functional vanishes."""
-        return tuple(k for k, v in enumerate(self.vertices) if _dot(facet.normal, v) == 0)
-
 
 @lru_cache(maxsize=GRAPH_CACHE)
 def edge_polytope(g: Graph) -> EdgePolytope:
@@ -111,13 +104,7 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         raise NotConnectedError("edge polytope is defined for connected graphs")
     verts = tuple(_edge_vector(g.d, e) for e in g.edges)
     left = is_bipartite(g)
-    basis, rays = _basis_cone(g)
-    dim = len(basis) - 1
-    expected = g.d - 2 if left is not None else g.d - 1
-    if dim != expected:
-        raise InvariantViolationError(
-            f"certified dimension {dim} != structural dimension {expected}"
-        )
+    dim = g.d - 2 if left is not None else g.d - 1
     equations: tuple[tuple[tuple[int, ...], int], ...] = ((tuple([1] * g.d), 2),)
     # sum x = 2 on every vertex, and chi_L.x = 1 when each edge has exactly
     # one end in the left side L
@@ -127,120 +114,7 @@ def edge_polytope(g: Graph) -> EdgePolytope:
         holds = holds and all((left >> i ^ left >> j) & 1 for i, j in g.edges)
     if not holds:
         raise InvariantViolationError("vertex violates an affine hull equation")
-    chosen = set(basis)
-    order = tuple(basis + [e for e in range(g.m) if e not in chosen])
-    return EdgePolytope(g, g.d, verts, dim, equations, _hull_facets(g, equations, order, rays))
-
-
-def _forest_bfs(nb: list[int], d: int):
-    """One BFS of each component of the basis forest F (neighbour masks
-    `nb` on vertices 1..d), from its least vertex: (parent, below, root,
-    even, closing). parent[v] is v's BFS parent, 0 at a root; below[v] is
-    the mask of v's BFS subtree, so below[root[v]] is v's component; even
-    holds the vertices at even depth; closing maps the root of each
-    component with a cycle to the edge (u, w), u < w, that the BFS tree
-    leaves out, the only edge from a vertex to a seen one other than its
-    parent."""
-    parent, below, root = [0] * (d + 1), [0] * (d + 1), [0] * (d + 1)
-    closing = {}
-    even = seen = 0
-    for r in range(1, d + 1):
-        if seen >> r & 1:
-            continue
-        seen |= 1 << r
-        even |= 1 << r
-        order = [r]
-        for v in order:
-            root[v] = r
-            back = nb[v] & seen & ~(1 << parent[v])
-            if back:
-                w = back.bit_length() - 1
-                closing[r] = (v, w) if v < w else (w, v)
-            fresh = nb[v] & ~seen
-            seen |= fresh
-            if not even >> v & 1:
-                even |= fresh
-            while fresh:
-                low = fresh & -fresh
-                c = low.bit_length() - 1
-                parent[c] = v
-                order.append(c)
-                fresh ^= low
-        for v in reversed(order):
-            below[v] |= 1 << v
-            below[parent[v]] |= below[v]
-    return parent, below, root, even, closing
-
-
-def _basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
-    """(basis, rays): the first basis of the edge vectors in edge order, and
-    per basis edge a ray that is 0 on every other basis edge and positive on
-    its own, the initial cone of the double description.
-
-    The edge vectors' matroid is the even-cycle matroid of G: edges are
-    independent when each component they form is a tree or holds one cycle,
-    and that cycle is odd. A union-find with parity keeps every edge that
-    leaves them so. A functional that vanishes on a connected edge set
-    alternates on it, so it is 0 where the set holds an odd cycle: the ray of
-    k = {i, j} alternates +-1 on the tree of F - k that holds i (else j), F
-    the basis forest, is +1 at that endpoint and 0 elsewhere.
-
-    Every ray is read off one BFS of each component of F (`_forest_bfs`),
-    whose depth parity 2-colours the BFS tree. A component's cycle is odd,
-    so the edge the tree leaves out, its closing edge, joins two vertices of
-    one depth. For the closing edge, F - k is the BFS tree and takes its
-    colouring. For another edge k on the cycle, F - k is the BFS tree less
-    k plus the closing edge, which joins the subtree below k to the rest at
-    one parity, so the colouring flips on that subtree. Any other edge cuts
-    its component in two, and the ray lives on the side without the cycle
-    (the side of i in a tree). Each ray is checked on every basis edge,
-    which certifies the basis independent; a failure raises
-    InvariantViolationError.
-    """
-    parent, flip, cyclic = list(range(g.d + 1)), [0] * (g.d + 1), [False] * (g.d + 1)
-
-    def find(v: int) -> tuple[int, int]:
-        """The root of v and the parity of v's side against it."""
-        side = 0
-        while parent[v] != v:
-            side, v = side ^ flip[v], parent[v]
-        return v, side
-
-    basis, nb = [], [0] * (g.d + 1)
-    for e, (i, j) in enumerate(g.edges):
-        (a, s), (b, t) = find(i), find(j)
-        if a == b and (cyclic[a] or s != t) or a != b and cyclic[a] and cyclic[b]:
-            continue  # a second cycle in one component, or an even cycle
-        if a != b:
-            parent[b], flip[b] = a, s ^ t ^ 1
-        cyclic[a] = a == b or cyclic[a] or cyclic[b]
-        basis.append(e)
-        nb[i] |= 1 << j
-        nb[j] |= 1 << i
-
-    edges = [g.edges[e] for e in basis]
-    up, below, root, even, closing = _forest_bfs(nb, g.d)
-    vertices = g.vertices()
-    rays = []
-    for k, (i, j) in enumerate(edges):
-        part, colour = below[root[i]], even
-        cycle = closing.get(root[i])
-        if (i, j) != cycle:
-            sub = below[j] if up[j] == i else below[i]
-            if cycle is None:
-                part = sub if sub >> i & 1 else part & ~sub
-            elif sub >> cycle[0] & 1 != sub >> cycle[1] & 1:
-                colour ^= sub  # k on the cycle
-            else:
-                part = part & ~sub if sub >> cycle[0] & 1 else sub
-        end = i if part >> i & 1 else j
-        plus = part & (colour if colour >> end & 1 else ~colour)
-        ray = tuple([1 if plus >> v & 1 else -(part >> v & 1) for v in vertices])
-        vals = [ray[a - 1] + ray[b - 1] for a, b in edges]
-        if vals[k] <= 0 or any(vals[:k] + vals[k + 1:]):
-            raise InvariantViolationError(f"initial ray of basis edge {(i, j)} fails the certificate")
-        rays.append(ray)
-    return basis, rays
+    return EdgePolytope(g, g.d, verts, dim, equations, _hull_facets(g, equations, dim))
 
 
 def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequality:
@@ -271,65 +145,82 @@ def _canonical(equations, normal, provenance: str) -> FacetInequality:
 # Hull-side facet computation (double description)
 # ---------------------------------------------------------------------------
 
-def _hull_facets(g: Graph, equations, order: tuple[int, ...], rays: list[tuple[int, ...]]
-                 ) -> tuple[FacetInequality, ...]:
-    """Facets of the cone over P, whose affine hull has the `equations`, the
-    extreme rays of its dual cone, built incrementally one edge inequality
-    at a time with the combinatorial adjacency test. The DD takes the edges
-    in `order`, the basis edges of `_basis_cone` first, and starts from the
-    simplicial cone of its `rays`.
+def _hull_facets(g: Graph, equations, dim: int) -> tuple[FacetInequality, ...]:
+    """Facets of the cone over P, of dimension dim + 1 and with the affine
+    hull `equations`: the extreme rays of its dual cone, built one vertex v
+    at a time in BFS order from vertex 1, one edge from v back to an earlier
+    vertex at a time, the edge to v's BFS parent first.
 
-    The initial cone is simplicial, so every intermediate cone is pointed
-    (modulo chi_L - chi_R when G is bipartite) and each new ray comes from
-    exactly one adjacent pair. A ray's mask holds its zero set over the
-    edges processed so far, as bits on positions in `order`; an extreme
-    ray is the only ray on the face its zero set cuts out, so no two rays
-    share a mask, and a pair is adjacent when no third ray's mask holds
-    their common zero set.
+    A ray is a functional on the vertices placed so far, 0 on the others.
+    While the placed graph is bipartite its edge vectors span the hyperplane
+    line.x = 0, line = chi_E - chi_O with E and O its even and odd BFS
+    layers, and a ray is a representative modulo the line. A ray's mask
+    holds its zero set over the edges taken so far, bit t for the t-th edge.
+
+    - The edge {u, v} to v's parent: e_u + e_v is the only generator with
+      x_v != 0, so the cone becomes a pyramid with that apex. Every old ray
+      h extends by h_v = -h_u, which vanishes on the apex, and x_v >= 0 is
+      the new ray.
+    - The first edge {w, v} inside one BFS layer, while the placed graph is
+      bipartite, leaves the hyperplane: a pyramid step too. Every old ray h
+      is moved along the line until it vanishes on the apex, to
+      primitive(2h - h(e) s line) with s = line_v, and s line is the new
+      ray.
+    - Every other edge is one double description step (`_dd_step`).
+
+    Each lift is certified where it happens: every old ray vanishes on the
+    apex and the new ray is positive on it, the line vanishes on every edge
+    taken before the odd-cycle step, and that step runs exactly when the
+    cone comes out of dimension d, that is when G is not bipartite. A
+    failure raises InvariantViolationError.
     """
-    n = len(rays)
-    if n < 2:
+    if dim < 1:
         return ()
-    masks = [((1 << n) - 1) ^ (1 << k) for k in range(n)]
-    ends = [(i - 1, j - 1) for i, j in (g.edges[e] for e in order)]
-    for step in range(n, len(order)):
-        i, j = ends[step]
-        bit = 1 << step
-        plus, minus, new_rays, new_masks = [], [], [], []
-        for r, m in zip(rays, masks):
-            v = r[i] + r[j]
-            if v > 0:
-                plus.append((r, m, v))
-            elif v < 0:
-                minus.append((r, m, -v))
-                continue
-            else:
-                m |= bit
-            new_rays.append(r)
-            new_masks.append(m)
-        for a, ma, lam in plus:
-            for b, mb, mu in minus:
-                common = ma & mb
-                if common.bit_count() < n - 2:
-                    continue
-                for om in masks:
-                    if common & om == common and om != ma and om != mb:
-                        break
+    nb = neighbour_masks(g)
+    line = [0] * g.d
+    line[0] = 1
+    rays, masks, taken = [], [], []
+    rank = odd = 0
+    queue, done = [1], 1 << 1
+    for u in queue:
+        for v in mask_vertices(nb[u] & ~done):
+            queue.append(v)
+            done |= 1 << v
+            line[v - 1] = -line[u - 1]
+            for w in (u, *mask_vertices(nb[v] & done & ~(1 << u))):
+                a, b = w - 1, v - 1
+                bit = 1 << len(taken)
+                taken.append((a, b))
+                if w == u:
+                    rays = [(*r[:b], -r[a], *r[b + 1:]) for r in rays]
+                    new = [0] * g.d
+                    new[b] = 1
+                elif not odd and line[a] == line[b]:
+                    if any(line[i] + line[j] for i, j in taken[:-1]):
+                        raise InvariantViolationError(
+                            f"the BFS layers do not 2-colour the edges before {(w, v)}")
+                    s = line[b]
+                    rays = [r if not (h := r[a] + r[b]) else
+                            primitive([2 * x - h * s * y for x, y in zip(r, line)]) for r in rays]
+                    new = [s * y for y in line]
+                    odd = 1
                 else:
-                    # both parents are >= 0 on every processed edge, so the
-                    # combination vanishes exactly where both do, and on this
-                    # one; primitive(c x) = primitive(x) for c > 0, so equal
-                    # weights just add the parents
-                    new_rays.append(primitive(
-                        map(add, a, b) if lam == mu else [mu * x + lam * y for x, y in zip(a, b)]
-                    ))
-                    new_masks.append(common | bit)
-        rays, masks = new_rays, new_masks
+                    rays, masks = _dd_step(rays, masks, a, b, bit, rank)
+                    continue
+                if any(r[a] + r[b] for r in rays) or new[a] + new[b] <= 0:
+                    raise InvariantViolationError(
+                        f"pyramid step over edge {(w, v)} fails the certificate")
+                rays.append(tuple(new))
+                masks = [m | bit for m in masks] + [bit - 1]
+                rank += 1
+    if rank != dim + 1:
+        raise InvariantViolationError(
+            f"the lift built a cone of dimension {rank}, not {dim + 1}")
     if len(equations) > 1:
         facets = [_canonical(equations, r, "hull") for r in rays]
     elif all(map(any, rays)):
-        # already canonical: the initial rays hold a +1 and every combination
-        # was made primitive
+        # already canonical: a pyramid step keeps a ray primitive, and every
+        # other ray is a unit vector, +-line or made primitive
         facets = [FacetInequality(r, "hull") for r in rays]
     else:
         raise InvariantViolationError("double description produced a vanishing ray")
@@ -337,6 +228,49 @@ def _hull_facets(g: Graph, equations, order: tuple[int, ...], rays: list[tuple[i
     if len({f.normal for f in facets}) != len(facets):
         raise InvariantViolationError("double description produced a facet twice")
     return tuple(facets)
+
+
+def _dd_step(rays, masks, a: int, b: int, bit: int, rank: int):
+    """One double description step: the rays and masks of the cone of
+    dimension `rank` cut by the edge inequality x_a + x_b >= 0, whose bit is
+    `bit`, with the combinatorial adjacency test.
+
+    The cone is pointed (modulo the line while G's placed part is
+    bipartite), so each new ray comes from exactly one adjacent pair. An
+    extreme ray is the only ray on the face its zero set cuts out, so no two
+    rays share a mask, and a pair is adjacent when no third ray's mask holds
+    their common zero set, which has at least rank - 2 edges.
+    """
+    plus, minus, new_rays, new_masks = [], [], [], []
+    for r, m in zip(rays, masks):
+        x = r[a] + r[b]
+        if x > 0:
+            plus.append((r, m, x))
+        elif x < 0:
+            minus.append((r, m, -x))
+            continue
+        else:
+            m |= bit
+        new_rays.append(r)
+        new_masks.append(m)
+    for p, mp, lam in plus:
+        for q, mq, mu in minus:
+            common = mp & mq
+            if common.bit_count() < rank - 2:
+                continue
+            for om in masks:
+                if common & om == common and om != mp and om != mq:
+                    break
+            else:
+                # both parents are >= 0 on every edge taken, so the
+                # combination vanishes exactly where both do, and on this
+                # one; primitive(c x) = primitive(x) for c > 0, so equal
+                # weights just add the parents
+                new_rays.append(primitive(
+                    map(add, p, q) if lam == mu else [mu * x + lam * y for x, y in zip(p, q)]
+                ))
+                new_masks.append(common | bit)
+    return new_rays, new_masks
 
 
 # ---------------------------------------------------------------------------

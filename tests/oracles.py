@@ -12,12 +12,17 @@ counts by the classical recurrence, stable colors one vertex at a time on
 bit masks, automorphisms over all n! permutations, and connected graphs by
 canonicalising every child of every parent one at a time, components and
 2-colorings by breadth-first search over neighbour sets, the odd cycle
-condition pair by pair over vertex sets, and the initial double-description
-cone by one flood fill per basis edge with the DD loop as first written.
-One standalone rational kernel, `frac_rref`, serves every exact oracle:
-ranks, null-space functionals, Caratheodory solves and the basis-cone
-references all read its reduced rows and pivot columns, so the rational
-oracles share nothing with the package implementation.
+condition pair by pair over vertex sets, and the double description as
+first written, edge by edge from a basis cone of one flood fill per basis
+edge. One standalone rational kernel, `frac_rref`, serves every exact
+oracle: ranks, null-space functionals and Caratheodory solves all read its
+reduced rows and pivot columns, so the rational oracles share nothing with
+the package implementation.
+
+A few helpers only read the package for the tests: matching and cover
+predicates, the tight vertices of a facet, and `connected_components` and
+`automorphism_count`, the package's components and automorphism groups in
+the form their oracles check.
 """
 
 from __future__ import annotations
@@ -31,14 +36,42 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import numpy as np
 
 from edgering.ehrhart import _candidate_blocks, _facet_matrix, _facet_min
-from edgering.enumeration import canonical_bits, edge_slots
-from edgering.graphs import Graph, coloured_components, vertex_mask
-from edgering.polytope import FacetInequality, canonical_inequality, edge_polytope, primitive
+from edgering.enumeration import _automorphisms, canonical_bits, edge_slots, graph_to_bits
+from edgering.graphs import Graph, coloured_components, mask_vertices, neighbour_masks, vertex_mask
+from edgering.polytope import (
+    EdgePolytope,
+    FacetInequality,
+    canonical_inequality,
+    edge_polytope,
+    primitive,
+)
 
 
 # ---------------------------------------------------------------------------
 # Matchings and covers
 # ---------------------------------------------------------------------------
+
+def is_matching(g: Graph, edges) -> bool:
+    """Whether `edges` are edges of g, pairwise vertex-disjoint."""
+    used: set[int] = set()
+    for i, j in edges:
+        if (min(i, j), max(i, j)) not in g.edges:
+            return False
+        if i in used or j in used:
+            return False
+        used.update((i, j))
+    return True
+
+
+def is_edge_cover(g: Graph, edges) -> bool:
+    """Whether `edges` are edges of g that touch every vertex."""
+    covered: set[int] = set()
+    for i, j in edges:
+        if (min(i, j), max(i, j)) not in g.edges:
+            return False
+        covered.update((i, j))
+    return covered == set(g.vertices())
+
 
 def brute_matching_number(g: Graph) -> int:
     """Exhaustive maximum matching size via subset recursion over vertices."""
@@ -110,6 +143,14 @@ def adjacency(g: Graph) -> tuple[frozenset[int], ...]:
         adj[i].add(j)
         adj[j].add(i)
     return tuple(frozenset(s) for s in adj)
+
+
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """The package's components of g, `coloured_components` over all of G,
+    as vertex sets ordered by least vertex: the reading that
+    `bfs_components` checks."""
+    return [frozenset(mask_vertices(comp))
+            for comp, _ in coloured_components(neighbour_masks(g), vertex_mask(g))]
 
 
 def bfs_components(g: Graph) -> list[frozenset[int]]:
@@ -263,6 +304,12 @@ def _functional_through(pts, vertices):
     return None
 
 
+def tight_vertices(p: EdgePolytope, facet: FacetInequality) -> tuple[int, ...]:
+    """Indices into p.vertices where the facet functional vanishes."""
+    return tuple(k for k, v in enumerate(p.vertices)
+                 if sum(a * x for a, x in zip(facet.normal, v)) == 0)
+
+
 def bruteforce_facets(vertices, dim: int) -> set[frozenset[int]]:
     """Facets as tight vertex index sets, by scanning hyperplanes spanned by
     dim-subsets of vertices. Exact but exponential; tiny instances only."""
@@ -293,10 +340,13 @@ def bruteforce_facets(vertices, dim: int) -> set[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 def flood_fill_basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
-    """(basis, rays) of the initial DD cone, one flood fill of F - k per
-    basis edge k: the same union-find basis as `polytope._basis_cone`, and
-    the ray of k = {i, j} alternates +-1 on the tree of F - k that holds i
-    (else j), +1 at that endpoint and 0 elsewhere. No certificate."""
+    """(basis, rays) of an initial DD cone, one flood fill of F - k per
+    basis edge k. The basis is the first one in edge order: a union-find
+    with parity keeps every edge that leaves each component a tree or a
+    tree plus one odd cycle (the even-cycle matroid of G), and F is the
+    forest it forms. The ray of k = {i, j} alternates +-1 on the tree of
+    F - k that holds i (else j), +1 at that endpoint and 0 elsewhere: 0 on
+    every other basis edge and positive on k. No certificate."""
     parent, flip, cyclic = list(range(g.d + 1)), [0] * (g.d + 1), [False] * (g.d + 1)
 
     def find(v: int) -> tuple[int, int]:
@@ -333,8 +383,8 @@ def flood_fill_basis_cone(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
 
 
 def reference_hull_facets(g: Graph) -> tuple[FacetInequality, ...]:
-    """The DD facets of P(G) from the flood-fill cone, edge by edge in the
-    same order (basis first) with the same combinatorial adjacency test:
+    """The DD facets of P(G) from the flood-fill cone, basis edges first,
+    then edge by edge with the combinatorial adjacency test:
     one comprehension per ray class, the adjacency scan by index, and every
     combination weighted as it comes, then canonicalised and sorted."""
     p = edge_polytope(g)
@@ -603,6 +653,13 @@ def stable_colors(n: int, bits: int) -> list[int]:
         if len(set(new)) == len(set(colors)):
             return new
         colors = new
+
+
+def automorphism_count(g: Graph) -> int:
+    """The order of the automorphism group, as the package's
+    `_automorphisms` finds it: the reading that `labeled_connected_count`
+    and `brute_automorphisms` check."""
+    return len(_automorphisms(g.d, graph_to_bits(g)))
 
 
 def brute_automorphisms(n: int, bits: int) -> set[tuple[int, ...]]:

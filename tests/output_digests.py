@@ -63,11 +63,12 @@ import tempfile
 from edgering.analysis import analyze, run_families
 from edgering.cli import main
 from edgering.ehrhart import h_star, interior_count, lattice_count, min_interior_q
-from edgering.enumeration import automorphism_count, connected_graph_bits, connected_graphs
+from edgering.enumeration import connected_graph_bits, connected_graphs
 from edgering.graphs import make_family, two_triangles_path
 from edgering.normality import is_normal
 from edgering.polytope import edge_polytope, predicted_facets
 from edgering.toric import fibers, minimal_generator_degrees
+from oracles import automorphism_count, tight_vertices
 
 PINNED = {
     "analyze": "1b0b6fd0fbb7a4aad8d69660ad21f69443455be68f5335934fad13f7fe3fb2f6",
@@ -129,7 +130,7 @@ def _window_line(g) -> str:
 
 def _facets_line(g) -> str:
     p = edge_polytope(g)
-    tight = sorted(p.tight_vertices(f) for f in p.facets())
+    tight = sorted(tight_vertices(p, f) for f in p.facets())
     return repr((g.edges, p.dim, tight)) + "\n"
 
 

@@ -22,11 +22,11 @@ from edgering.ehrhart import (
 )
 from edgering.enumeration import connected_graphs
 from edgering.graphs import is_bipartite, two_triangles_path
-from edgering.matching import is_edge_cover, is_matching, matching_number, maximum_matching, min_edge_cover
+from edgering.matching import matching_number, maximum_matching, min_edge_cover
 from edgering.normality import is_normal
 from edgering.polytope import edge_polytope, predicted_facets
 from edgering.toric import minimal_generator_degrees
-from oracles import brute_matching_number, hstar_from_counts
+from oracles import brute_matching_number, hstar_from_counts, is_edge_cover, is_matching
 
 
 @dataclass

@@ -125,6 +125,16 @@ def test_q5_cli(tmp_path, capsys):
     assert "rows" not in payload
 
 
+def test_toric_degree_bound_below_2_is_refused(capsys):
+    # q5 refuses --qmax below 2 as analyze --toric does, instead of running
+    # the survey at 2
+    for qmax in ("1", "0", "-3"):
+        assert main(["q5", "--m", "2", "--nmax", "5", "--qmax", qmax]) == 1, qmax
+        assert main(["analyze", "--family", "cycle(4)", "--toric", "--qmax", qmax]) == 1, qmax
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error: q_max must be >= 2") == 2, qmax
+
+
 def test_vertex_limit_exits_with_error(capsys):
     nmax = str(MAX_N + 1)
     assert main(["verify-theorem", "--nmax", nmax]) == 1

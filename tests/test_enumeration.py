@@ -13,7 +13,6 @@ from edgering.enumeration import (
     _automorphisms,
     _canonical_codes,
     _stable_colors,
-    automorphism_count,
     bits_to_graph,
     canonical_bits,
     connected_graph_bits,
@@ -30,6 +29,7 @@ from edgering.graphs import (
     path_graph,
 )
 from oracles import (
+    automorphism_count,
     brute_automorphisms,
     labeled_connected_count,
     stable_colors,

@@ -11,7 +11,6 @@ from edgering.graphs import (
     attach_path,
     complete_bipartite_graph,
     complete_graph,
-    connected_components,
     cycle_graph,
     is_bipartite,
     is_connected,
@@ -22,7 +21,7 @@ from edgering.graphs import (
     star_graph,
     two_triangles_path,
 )
-from oracles import adjacency, bfs_bipartition, bfs_components, has_odd_cycle
+from oracles import adjacency, bfs_bipartition, bfs_components, connected_components, has_odd_cycle
 
 
 def test_parse_triangle():

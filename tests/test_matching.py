@@ -16,8 +16,6 @@ from edgering.graphs import (
 )
 from edgering.matching import (
     IsolatedVertexError,
-    is_edge_cover,
-    is_matching,
     matching_number,
     maximum_matching,
     min_edge_cover,
@@ -26,6 +24,8 @@ from oracles import (
     brute_edge_cover_number,
     brute_matching_number,
     brute_matching_number_subsets,
+    is_edge_cover,
+    is_matching,
 )
 
 

@@ -1,5 +1,6 @@
+import inspect
 import random
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from edgering.graphs import (
     complete_graph,
     cycle_graph,
     is_bipartite,
+    is_connected,
     make_family,
     mask_vertices,
     neighbour_masks,
@@ -22,9 +24,6 @@ from edgering.graphs import (
 from edgering.ehrhart import lattice_points
 from edgering.polytope import (
     InvariantViolationError,
-    _basis_cone,
-    _dot,
-    _hull_facets,
     canonical_inequality,
     contains,
     edge_polytope,
@@ -34,10 +33,9 @@ from edgering.polytope import (
 from oracles import (
     bruteforce_facets,
     caratheodory_member,
-    flood_fill_basis_cone,
     frac_rank,
-    frac_rref,
     reference_hull_facets,
+    tight_vertices,
 )
 
 
@@ -153,124 +151,109 @@ def test_predicted_equals_hull_beyond_digest_scope():
         assert hull == {f.normal for f in predicted_facets(g)}, spec
 
 
-def test_initial_cone_is_read_off_the_basis_d6(monkeypatch):
-    # the DD receives the basis edges first in its order, with one ray per
-    # basis edge, positive on it and 0 on the others
-    received = []
-    real = edgering.polytope._hull_facets
-
-    def spy(g, equations, order, rays):
-        received.append((order, rays))
-        return real(g, equations, order, rays)
-
-    monkeypatch.setattr(edgering.polytope, "_hull_facets", spy)
-    for n in range(2, 7):
-        for g in connected_graphs(n):
-            p = edge_polytope.__wrapped__(g)  # uncached, so the DD runs here
-            order, rays = received.pop()
-            assert sorted(order) == list(range(g.m))
-            assert list(order[:len(rays)]) == _basis_cone(g)[0]
-            assert len(rays) == p.dim + 1
-            for k in range(len(rays)):
-                vals = [_dot(r, p.vertices[order[k]]) for r in rays]
-                assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), g
-
-
-def test_hull_facets_reject_a_vanishing_ray():
-    # a non-bipartite graph's DD rays become facets as they are; a ray that
-    # vanishes on every edge vector is still refused
-    g = complete_graph(4)
-    p = edge_polytope(g)
-    basis, rays = _basis_cone(g)
-    order = tuple(basis + [e for e in range(g.m) if e not in basis])
-    assert _hull_facets(g, p.hull_equations, order, rays) == p.facets()
+def test_hull_facets_reject_a_vanishing_ray(monkeypatch):
+    # a planted fault: every combination the lift makes primitive comes out
+    # 0, so a non-bipartite graph's rays, which become facets as they are,
+    # include one that vanishes on every edge vector
+    monkeypatch.setattr(edgering.polytope, "primitive", lambda vec: tuple(0 for _ in vec))
     with pytest.raises(InvariantViolationError, match="vanishing ray"):
-        _hull_facets(g, p.hull_equations, order, [(0,) * g.d] + rays[1:])
+        edge_polytope.__wrapped__(complete_graph(4))
 
 
-BASIS_CONE_SPECS = [
-    "complete(10)",
-    "complete_bipartite(6,6)",
-    "path(13)",
-    "cycle(11)",
-    "attach_path(complete(8),1,4)",
-    "two_triangles_path(4)",
-]
-
-
-def test_basis_cone_matches_fraction_references():
-    # the basis is the left-to-right greedy one, the pivot columns of the
-    # RREF of the edge vectors as columns; a non-bipartite graph's ray for
-    # basis edge k is the positive primitive multiple of column k of V_B^-1,
-    # V_B the basis edge vectors as rows, read off the RREF of [V_B | I]; a
-    # bipartite graph's ray is one representative modulo chi_L - chi_R, so it
-    # is held only to its values on the basis edges
-    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
-    for g in graphs + [make_family(spec) for spec in BASIS_CONE_SPECS]:
-        verts = edge_polytope(g).vertices
-        basis, rays = _basis_cone(g)
-        assert basis == frac_rref(list(zip(*verts)))[1], g
-        rows = [verts[e] for e in basis]
-        if is_bipartite(g) is None:
-            s = len(rows)
-            inverse, pivots = frac_rref([[*row, *(int(t == k) for t in range(s))]
-                                         for k, row in enumerate(rows)])
-            assert pivots == list(range(s)), g
-            for k, ray in enumerate(rays):
-                x = [row[s + k] for row in inverse]
-                scale = lcm(*(v.denominator for v in x))
-                assert ray == primitive(int(v * scale) for v in x), (g, k)
-        else:
-            for k, ray in enumerate(rays):
-                vals = [_dot(ray, row) for row in rows]
-                assert all(v > 0 if t == k else v == 0 for t, v in enumerate(vals)), (g, k)
-
-
-def test_basis_cone_matches_the_flood_fill_reference():
-    # one BFS per component of the basis forest gives the same basis and the
-    # same rays, tuple for tuple, as one flood fill of F - k per basis edge
-    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
-    for g in graphs + [make_family(spec) for spec in BASIS_CONE_SPECS]:
-        assert _basis_cone(g) == flood_fill_basis_cone(g), g
+def _connected_sample(rng, d: int, count: int) -> list[Graph]:
+    """`count` connected graphs on d vertices, each edge kept with one
+    density drawn per graph from 0.25..0.8."""
+    out = []
+    while len(out) < count:
+        p = rng.uniform(0.25, 0.8)
+        g = Graph.of(d, [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)
+                         if rng.random() < p])
+        if g.m and is_connected(g):
+            out.append(g)
+    return out
 
 
 def test_hull_facets_match_the_reference_dd():
-    # the DD's facets, provenance and order included, equal those of the DD
-    # loop as first written, run from the flood-fill cone
+    # the lift's facets, provenance and order included, equal those of the
+    # DD loop as first written, run from the flood-fill basis cone: every
+    # graph with n <= 7, a sample with n = 8, and beyond the exhaustive
+    # range six families and a seeded sample with d = 10..12
     graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
     graphs += random.Random(8).sample(connected_graphs(8), 400)
+    graphs += [make_family(spec) for spec in (
+        "complete(10)",
+        "complete_bipartite(6,6)",
+        "path(13)",
+        "cycle(11)",
+        "attach_path(complete(8),1,4)",
+        "two_triangles_path(4)",
+    )]
+    rng = random.Random(10)
+    graphs += [g for d in (10, 11, 12) for g in _connected_sample(rng, d, 4)]
     for g in graphs:
         assert edge_polytope(g).facets() == reference_hull_facets(g), g
 
 
-@pytest.fixture
-def flipped_colouring(monkeypatch):
-    # a planted fault: the top vertex of every component of the basis forest
-    # changes sides in the depth parity the basis cone reads, so some
-    # initial ray is no longer 0 on a basis edge next to it
-    real = edgering.polytope._forest_bfs
-
-    def flipped(nb, d):
-        parent, below, root, even, closing = real(nb, d)
-        for r in set(root[1:]):
-            even ^= 1 << below[r].bit_length() - 1
-        return parent, below, root, even, closing
-
-    monkeypatch.setattr(edgering.polytope, "_forest_bfs", flipped)
-    edge_polytope.cache_clear()
-    yield
-    edge_polytope.cache_clear()
+def _mutate_lift(monkeypatch, *substitutions: tuple[str, str]) -> None:
+    """Plant a fault: replace each (old, new) text in the source of the
+    lift, `polytope._hull_facets`, which `edge_polytope` then calls."""
+    source = inspect.getsource(edgering.polytope._hull_facets)
+    for old, new in substitutions:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(edgering.polytope))
+    exec(source, namespace)
+    monkeypatch.setattr(edgering.polytope, "_hull_facets", namespace["_hull_facets"])
 
 
-@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(4)], ids=["K4", "C4"])
-def test_basis_cone_certificate_fails_closed(flipped_colouring, g):
-    with pytest.raises(InvariantViolationError, match="certificate"):
+# one planted fault per certificate check of the lift: (name, graphs it
+# reaches, the plant, the message of the check that refuses it)
+LIFT_FAULTS = [
+    ("old_ray_off_the_apex", ("K4", "C4"),
+     lambda mp: _mutate_lift(mp, ("(*r[:b], -r[a], *r[b + 1:])", "(*r[:b], r[a], *r[b + 1:])")),
+     "fails the certificate"),
+    ("new_ray_negative", ("K4", "C4"),
+     lambda mp: _mutate_lift(mp, ("new[b] = 1", "new[b] = -1")),
+     "fails the certificate"),
+    ("layers_miscoloured", ("K4", "C4"),
+     lambda mp: _mutate_lift(mp, ("line[v - 1] = -line[u - 1]", "line[v - 1] = line[u - 1]")),
+     "do not 2-colour"),
+    ("odd_cycle_step_skipped", ("K4",),
+     lambda mp: _mutate_lift(mp, ("elif not odd and", "elif odd and")),
+     "cone of dimension"),
+    ("bipartition_lost", ("C4",),
+     lambda mp: mp.setattr(edgering.polytope, "is_bipartite", lambda g: None),
+     "cone of dimension"),
+    ("facet_twice", ("K4", "C4"),
+     lambda mp: _mutate_lift(mp, ("rays.append(tuple(new))", "rays += [tuple(new)] * 2"),
+                             ("+ [bit - 1]", "+ [bit - 1] * 2")),
+     "facet twice"),
+]
+GRAPHS = {"K4": complete_graph(4), "C4": cycle_graph(4)}
+
+
+@pytest.mark.parametrize(
+    "plant, message, g",
+    [(plant, message, GRAPHS[key]) for _, keys, plant, message in LIFT_FAULTS for key in keys],
+    ids=[f"{key}-{name}" for name, keys, _, _ in LIFT_FAULTS for key in keys],
+)
+def test_lift_certificate_fails_closed(monkeypatch, plant, message, g):
+    plant(monkeypatch)
+    with pytest.raises(InvariantViolationError, match=message):
         edge_polytope.__wrapped__(g)
 
 
-def test_failed_certificate_exits_3(flipped_colouring, capsys):
-    assert main(["analyze", "--family", "complete(4)"]) == 3
-    assert "fails the certificate" in capsys.readouterr().err
+def test_failed_certificate_exits_3(monkeypatch, capsys):
+    # every planted fault that reaches K4 stops `analyze` with exit 3
+    for name, keys, plant, message in LIFT_FAULTS:
+        if "K4" not in keys:
+            continue
+        with monkeypatch.context() as mp:
+            plant(mp)
+            edge_polytope.cache_clear()
+            assert main(["analyze", "--family", "complete(4)"]) == 3, name
+            assert message in capsys.readouterr().err, name
+    edge_polytope.cache_clear()
 
 
 def test_polytope_digests_equal_the_pinned_ones():
@@ -310,7 +293,7 @@ def test_facets_match_bruteforce_candidate_hyperplanes():
         if p.dim < 2:
             continue
         expected = bruteforce_facets(list(p.vertices), p.dim)
-        got = {frozenset(p.tight_vertices(f)) for f in p.facets()}
+        got = {frozenset(tight_vertices(p, f)) for f in p.facets()}
         assert got == expected
 
 
