@@ -11,11 +11,11 @@ Run:  python demos/03_counting_and_regularity.py
 """
 
 from edgering import (
+    analyze,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     edge_polytope,
-    ehrhart_profile,
     hilbert_function,
     interior_lattice_points,
     lattice_points,
@@ -34,16 +34,16 @@ for name, g in [
     ("K33", complete_bipartite_graph(3, 3)),
     ("star(5)", star_graph(5)),
 ]:
-    prof = ehrhart_profile(g)
+    report = analyze(g)
     dim = edge_polytope(g).dim
     counts = tuple(len(lattice_points(g, q)) for q in range(dim + 3))
     interior = tuple(len(interior_lattice_points(g, q)) for q in range(dim + 3))
     print(f"\n{name}:")
     print(f"  counts |qP|, q=0..{dim + 2}:      {counts}")
     print(f"  interior counts:            {interior}")
-    print(f"  first interior dilation:    {prof.min_interior_q}")
-    print(f"  h* = {prof.h_star}    degree s = {prof.s}    Krull dim = {dim + 1}")
-    print(f"  reg = s = (dim+1) - min_interior_q = {prof.s}")
+    print(f"  first interior dilation:    {report.min_interior_q}")
+    print(f"  h* = {report.h_star}    degree s = {report.reg}    Krull dim = {dim + 1}")
+    print(f"  reg = s = (dim+1) - min_interior_q = {report.reg}")
 
 # the ring-side count (monomials of the edge ring) matches the geometric one
 g = cycle_graph(4)

@@ -12,10 +12,8 @@ from .analysis import (
 )
 from .ehrhart import (
     BudgetExceededError,
-    EhrhartProfile,
     NotNormalError,
     check_idp,
-    ehrhart_profile,
     h_star,
     hilbert_function,
     idp_points,

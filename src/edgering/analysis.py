@@ -7,7 +7,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .ehrhart import BudgetExceededError, ehrhart_profile
+from . import ehrhart
+from .ehrhart import BudgetExceededError
 from .enumeration import MAX_N, connected_graphs
 from .graphs import (
     Graph,
@@ -21,7 +22,7 @@ from .graphs import (
 )
 from .matching import matching_number, min_edge_cover
 from .normality import is_normal
-from .polytope import edge_polytope
+from .polytope import InvariantViolationError, edge_polytope
 from .toric import GeneratorProfile, minimal_generator_degrees
 
 CSV_HEADER = "family,params,d,edges,mat,mu,normal,dim,reg,expected_reg,verdict"
@@ -96,6 +97,10 @@ class AnalysisReport:
 def analyze(g: Graph, run_toric: bool = False, toric_qmax: int | None = None) -> AnalysisReport:
     """Compute all invariants of a connected graph with at least two vertices.
 
+    A normal graph's reg is dim P + 1 minus the interior threshold, and the
+    h* degree must equal it unless `h_star` refuses its window over the row
+    budget (h_star = None): the one place the two regularity routes meet.
+
     Toric analysis is opt-in because fiber enumeration grows quickly; when it
     runs, its degree bound defaults to 2 * dim unless given explicitly.
     """
@@ -118,13 +123,19 @@ def analyze(g: Graph, run_toric: bool = False, toric_qmax: int | None = None) ->
     reg: int | None = None
     reg_source = "unknown"
     if normal:
-        counting = ehrhart_profile(g)
-        q_min, hs, reg = counting.min_interior_q, counting.h_star, counting.s
-        if hs is not None:
-            reg_source = "h-star degree, cross-checked against interior threshold"
-        else:
+        q_min = ehrhart.min_interior_q(g)
+        reg = p.dim + 1 - q_min
+        try:
+            hs = ehrhart.h_star(g)
+        except BudgetExceededError:
             reg_source = "interior threshold (h* window over row budget)"
             notes.append("h_star skipped: enumeration window over the row budget")
+        else:
+            if len(hs) - 1 != reg:
+                raise InvariantViolationError(
+                    f"h* degree {len(hs) - 1} != (dim+1) - interior threshold {reg}"
+                )
+            reg_source = "h-star degree, cross-checked against interior threshold"
 
     profile: GeneratorProfile | None = None
     if run_toric:

@@ -15,10 +15,12 @@ the integer-decomposition test `check_idp`.
 One enumerator, `_shape_blocks`, yields the integer vectors on the scaled
 hull within a box, streamed in blocks of about `_BLOCK_ROWS` rows. It works
 on a shape, d plus the side sizes when G is bipartite, laid out left side
-first; `_candidate_blocks` places its columns in G's own order, for the
-points, and the interior search scans the layout of G's leaf core, a vertex
-mask of G. The box (lo = 0) holds every lattice point of qP, the
-all-positive slice (lo = 1) every relative-interior point. Every block is
+first. Every scan reads one view of G, `_layout(g, kept)`: the shape of a
+vertex mask of G (all of G, or its leaf core for the interior search), the
+columns of G in its layout, and G's facet normals with their columns
+permuted to that layout; h.x is a sum over columns, so no value moves. The
+box (lo = 0) holds every lattice point of qP, the all-positive slice
+(lo = 1) every relative-interior point. Every block is
 tested against one facet kernel, `_facet_min`: the facet normals h of P,
 h.x >= 0 on every dilation, built once per graph, give through float64
 products and a min over facets both the lattice points (min >= 0) and the
@@ -30,17 +32,16 @@ against the Python thread, which on two cores cost both CPU time and wall
 time.
 
 h* reads one fixed window per shape, packed into one read-only float64
-(d, R) stack cached for `_PACKED_SHAPES` shapes, and permutes the columns of
-G's facet matrix to the shape's layout; h.x is a sum over columns, so the
-counts are exact. `_window_counts` counts the whole window with one
-`_facet_min` call and one `np.bincount` over the count each hit belongs to.
-Under the default `ROW_BUDGET` the window always fits one block: at most
-10,945 rows (d = 9). A window that does not fit is streamed one count at a
-time through `lattice_count` and `interior_count`, which take one dilation,
-the box or the all-positive slice, in G's own columns against G's own facet
-matrix, so memory stays bounded by a block. The points themselves, behind
+(d, R) stack cached for `_PACKED_SHAPES` shapes. `_window_counts` counts the
+whole window with one `_facet_min` call and one `np.bincount` over the count
+each hit belongs to. Under the default `ROW_BUDGET` the window always fits
+one block: at most 10,945 rows (d = 9). A window that does not fit streams
+the same layout blocks one dilation at a time, as `lattice_count` and
+`interior_count` do for their one dilation, the box or the all-positive
+slice, so memory stays bounded by a block. The points themselves, behind
 `lattice_points`, `interior_lattice_points` and `check_idp`, come from the
-whole box in G's own columns, a route independent of the packed stacks.
+whole box in the layout, written back to G's columns, a route independent
+of the packed stacks.
 
 The h*-vector is the numerator of the Ehrhart series, sum |qP| t^q =
 h*(t) / (1 - t)^(dim + 1). `h_star` reads h* from both ends with one
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -195,8 +195,8 @@ def _unpack(codes: np.ndarray, d: int) -> np.ndarray:
 @lru_cache(maxsize=GRAPH_CACHE)
 def _facet_matrix(g: Graph) -> np.ndarray:
     """The facet normals h of P, h.x >= 0 on every dilation, as the rows of a
-    matrix H, so one H serves every q; h*'s packed window reads it with its
-    columns permuted to the layout of G's shape, which changes no h.x."""
+    matrix H, so one H serves every q; every scan reads it through `_layout`,
+    with its columns permuted to the layout of G's shape."""
     fs = edge_polytope(g).facets()
     h = np.array([f.normal for f in fs], dtype=np.int64).reshape(-1, g.d)
     # the points, the counts and h*'s window validate q <= MAX_Q, and the
@@ -233,32 +233,34 @@ def _facet_min(h: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layout(g: Graph, kept: int | None = None) -> tuple[tuple[int, int] | None, np.ndarray]:
-    """(sides, order) of the vertices in the mask `kept`, all of G by
-    default: their side sizes when G is bipartite (None otherwise), and their
-    columns of G in the layout of that shape, left side first: coordinate k
-    of the layout is column order[k] of G."""
-    kept = vertex_mask(g) if kept is None else kept
+def _layout(g: Graph, kept: int | None = None) -> tuple:
+    """(sides, order, h), the view every scan reads of the vertices in the
+    mask `kept`, all of G by default: their side sizes when G is bipartite
+    (None otherwise), their columns of G in the layout of that shape, left
+    side first (coordinate k is column order[k] of G), and the rows of G's
+    facet matrix that are nonzero on some edge inside `kept`, every row on
+    all of G, with their columns permuted to the layout."""
+    full = vertex_mask(g)
+    kept = full if kept is None else kept
     bip = is_bipartite(g)
     if bip is None:
-        return None, np.array(mask_vertices(kept)) - 1
-    left, right = mask_vertices(kept & bip), mask_vertices(kept & ~bip)
-    return (len(left), len(right)), np.array(left + right) - 1
+        sides, order = None, mask_vertices(kept)
+    else:
+        left, right = mask_vertices(kept & bip), mask_vertices(kept & ~bip)
+        sides, order = (len(left), len(right)), left + right
+    order = np.array(order) - 1
+    h = _facet_matrix(g)
+    if kept != full:
+        ends = np.array([(i, j) for i, j in g.edges if kept >> i & kept >> j & 1]) - 1
+        h = h[np.any(h[:, ends[:, 0]] + h[:, ends[:, 1]] != 0, axis=1)]
+    return sides, order, h[:, order]
 
 
-def _candidate_blocks(g: Graph, q: int, lo: int):
-    """Integer vectors with lo <= x_i <= q satisfying the hull equations of
-    qP, in G's columns, in blocks of about _BLOCK_ROWS rows: lo = 0 gives
-    every candidate of the points, lo = 1 the all-positive slice."""
-    sides, order = _layout(g)
-    return _shape_blocks(g.d, sides, order, q, lo)
-
-
-def _shape_blocks(d: int, sides: tuple[int, int] | None, cols: np.ndarray, q: int, lo: int):
-    """The candidates of `_candidate_blocks` for a graph on d vertices,
-    bipartite with these side sizes or not (None), with coordinate k of the
-    layout at column cols[k]: G's order gives G's own columns, arange(d) the
-    layout itself.
+def _shape_blocks(d: int, sides: tuple[int, int] | None, q: int, lo: int):
+    """Integer vectors with lo <= x_i <= q on the hull of qP, for a graph on
+    d vertices, bipartite with these side sizes or not (None), in the layout
+    of that shape, in blocks of about _BLOCK_ROWS rows: lo = 0 gives the box,
+    every candidate lattice point, and lo = 1 the all-positive slice.
 
     The hull is sum x = 2q, or sum x = q on each side of a bipartition. A
     bipartite block joins a block of left-side rows with every row of the
@@ -268,13 +270,13 @@ def _shape_blocks(d: int, sides: tuple[int, int] | None, cols: np.ndarray, q: in
         for block in _composition_blocks(2 * q - lo * d, d, q - lo, _BLOCK_ROWS):
             yield block + lo if lo else block
         return
-    left, right = cols[:sides[0]], cols[sides[0]:]
-    rcomp = _compositions(q - lo * len(right), len(right), q - lo)
+    left, right = sides
+    rcomp = _compositions(q - lo * right, right, q - lo)
     rows = _BLOCK_ROWS // max(len(rcomp), 1)
-    for lcomp in _composition_blocks(q - lo * len(left), len(left), q - lo, rows):
-        block = np.zeros((len(lcomp) * len(rcomp), d), dtype=np.int16)
-        block[:, left] = np.repeat(lcomp, len(rcomp), axis=0)
-        block[:, right] = np.tile(rcomp, (len(lcomp), 1))
+    for lcomp in _composition_blocks(q - lo * left, left, q - lo, rows):
+        block = np.empty((len(lcomp) * len(rcomp), d), dtype=np.int16)
+        block[:, :left] = np.repeat(lcomp, len(rcomp), axis=0)
+        block[:, left:] = np.tile(rcomp, (len(lcomp), 1))
         block += lo
         yield block
 
@@ -310,19 +312,22 @@ def _lattice_classified(g: Graph, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(points, strict) for qP: the lattice points as an int array, in no
     particular order, plus a boolean mask marking relative-interior points.
 
-    The whole box of candidates in G's own columns, one block at a time,
-    against G's facet matrix: the route of the points, and the tests'
-    reference for every count. 0P is the origin, never interior, which K2's
-    facetless P would otherwise make it."""
+    The whole box of candidates in G's layout, one block at a time, with
+    the points written back to G's columns: the route of the points, and the
+    tests' reference for every count. 0P is the origin, never interior,
+    which K2's facetless P would otherwise make it."""
     _check_dilation(q)
-    h = _facet_matrix(g)
+    sides, order, h = _layout(g)
     points, strict = [], []
-    for cand in _candidate_blocks(g, q, 0):
+    for cand in _shape_blocks(g.d, sides, q, 0):
         m = _facet_min(h, cand)
         inside = m >= 0
         points.append(cand[inside])
         strict.append((m[inside] > 0) & (q > 0))
-    return np.concatenate(points), np.concatenate(strict)
+    pts = np.concatenate(points)
+    out = np.empty_like(pts)
+    out[:, order] = pts
+    return out, np.concatenate(strict)
 
 
 def lattice_points(g: Graph, q: int) -> set[tuple[int, ...]]:
@@ -364,8 +369,7 @@ def _packed(d: int, sides: tuple[int, int] | None) -> tuple[np.ndarray, ...] | N
     rows = [_candidate_rows(d, sides, q, lo) for q, lo in dilations]
     if sum(rows) > _BLOCK_ROWS:
         return None
-    cols = np.arange(d)
-    blocks = [block for q, lo in dilations for block in _shape_blocks(d, sides, cols, q, lo)]
+    blocks = [block for q, lo in dilations for block in _shape_blocks(d, sides, q, lo)]
     out = (
         np.ascontiguousarray(np.concatenate(blocks).T, dtype=np.float64),
         np.repeat(np.array([lo for _, lo in dilations], dtype=np.uint8), rows),
@@ -376,42 +380,44 @@ def _packed(d: int, sides: tuple[int, int] | None) -> tuple[np.ndarray, ...] | N
     return out
 
 
-def _window_counts(g: Graph) -> tuple[list[int], list[int]]:
-    """h*'s window of G: |qP| at q = 0..a and |relint qP| at q = 0..b, for
-    the (a, b) of `_window`. One `_facet_min` call over the packed stack of
-    G's shape, with G's facet matrix permuted to its layout, and one
-    `np.bincount` count it; a window that does not fit one block is streamed
-    one count at a time."""
-    sides, order = _layout(g)
-    a, b = _window(g.d, sides)
-    packed = _packed(g.d, sides)
+def _window_counts(d: int, sides: tuple[int, int] | None,
+                   h: np.ndarray) -> tuple[list[int], list[int]]:
+    """h*'s window of a graph on d vertices whose view (see `_layout`) has
+    these sides and facet rows h: |qP| at q = 0..a and |relint qP| at
+    q = 0..b, for the (a, b) of `_window`. One `_facet_min` call over the
+    packed stack of the shape and one `np.bincount` count it; a window that
+    does not fit one block streams the same layout blocks one dilation at a
+    time."""
+    a, b = _window(d, sides)
+    packed = _packed(d, sides)
     if packed is None:
-        return ([lattice_count(g, q) for q in range(a + 1)],
-                [interior_count(g, q) for q in range(b + 1)])
+        return ([_dilation_count(d, sides, h, q, 0) for q in range(a + 1)],
+                [_dilation_count(d, sides, h, q, 1) for q in range(b + 1)])
     stack, floor, owner = packed
-    hits = _facet_min(_facet_matrix(g)[:, order], stack.T) >= floor
+    hits = _facet_min(h, stack.T) >= floor
     counts = np.bincount(owner[hits], minlength=a + b + 2).tolist()
     return counts[:a + 1], counts[a + 1:]
 
 
-def _streamed_count(g: Graph, q: int, lo: int) -> int:
-    """The candidates of `_candidate_blocks(g, q, lo)` whose facet minimum is
-    >= lo, streamed one block at a time against G's facet matrix."""
+def _dilation_count(d: int, sides: tuple[int, int] | None, h: np.ndarray, q: int, lo: int) -> int:
+    """The candidates of `_shape_blocks(d, sides, q, lo)` whose facet minimum
+    over the rows h is >= lo, streamed one block at a time."""
     _check_dilation(q)
-    h = _facet_matrix(g)
     return sum(int(np.count_nonzero(_facet_min(h, block) >= lo))
-               for block in _candidate_blocks(g, q, lo))
+               for block in _shape_blocks(d, sides, q, lo))
 
 
 def lattice_count(g: Graph, q: int) -> int:
     """|qP|, counted on the box of candidates."""
-    return _streamed_count(g, q, 0)
+    sides, _, h = _layout(g)
+    return _dilation_count(g.d, sides, h, q, 0)
 
 
 def interior_count(g: Graph, q: int) -> int:
     """|relint qP|, counted on the all-positive slice, which holds every
     relative-interior point (see `min_interior_q`) and is empty at q = 0."""
-    return _streamed_count(g, q, 1)
+    sides, _, h = _layout(g)
+    return _dilation_count(g.d, sides, h, q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +512,10 @@ def min_interior_q(g: Graph) -> int:
     """
     if not is_normal(g):
         raise NotNormalError("interior threshold is computed for normal edge rings only")
-    kept = _leaf_core(g)
-    sides, order = _layout(g, kept)
-    h = _facet_matrix(g)
-    if kept != vertex_mask(g):
-        ends = np.array([(i, j) for i, j in g.edges if kept >> i & kept >> j & 1]) - 1
-        h = h[np.any(h[:, ends[:, 0]] + h[:, ends[:, 1]] != 0, axis=1)]
-    h, d = h[:, order], len(order)
-    leaves, cols = g.d - d, np.arange(d)
+    sides, order, h = _layout(g, _leaf_core(g))
+    d, leaves = len(order), g.d - len(order)
     for q in range((d + 1) // 2, edge_polytope(g).dim - leaves + 2):
-        if any(np.any(_facet_min(h, block) > 0) for block in _shape_blocks(d, sides, cols, q, 1)):
+        if any(np.any(_facet_min(h, block) > 0) for block in _shape_blocks(d, sides, q, 1)):
             return q + leaves
     raise InvariantViolationError(
         "no interior lattice point found by dim + 1; input is non-normal or a bug"
@@ -523,8 +523,7 @@ def min_interior_q(g: Graph) -> int:
 
 
 def _candidate_rows(d: int, sides: tuple[int, int] | None, q: int, lo: int) -> int:
-    """The rows `_candidate_blocks(g, q, lo)` yields for a graph on d vertices,
-    bipartite with these side sizes or not (None)."""
+    """The rows `_shape_blocks(d, sides, q, lo)` yields."""
     if sides is None:
         return _count(2 * q - lo * d, d, q - lo)
     return math.prod(_count(q - lo * s, s, q - lo) for s in sides)
@@ -581,13 +580,13 @@ def h_star(g: Graph) -> tuple[int, ...]:
     if not is_normal(g):
         raise NotNormalError("h* is computed for normal edge rings only")
     dim = edge_polytope(g).dim
-    sides, _ = _layout(g)
+    sides, _, facets = _layout(g)
     cost, budget = _shape_row_cost(g.d, sides, dim + 2), ROW_BUDGET
     if cost > budget:
         raise BudgetExceededError(
             f"enumeration of {cost} candidate rows exceeds the budget {budget}"
         )
-    lattice, interior = _window_counts(g)
+    lattice, interior = _window_counts(g.d, sides, facets)
     low, high = _numerator(lattice, dim), _numerator(interior, dim)
     h: list[int | None] = [None] * (dim + 1)
     for i, x in [*enumerate(low), *((dim + 1 - k, x) for k, x in enumerate(high))]:
@@ -606,36 +605,3 @@ def h_star(g: Graph) -> tuple[int, ...]:
     if any(x < 0 for x in h):
         raise InvariantViolationError(f"negative h* entry in {tuple(h)}; contradicts normality")
     return tuple(h)
-
-
-@dataclass(frozen=True)
-class EhrhartProfile:
-    """The normal route's record of one edge polytope: the interior threshold
-    and s = dim P + 1 - threshold (the regularity) always, and h* when the
-    window fits the row budget (None otherwise)."""
-
-    min_interior_q: int
-    h_star: tuple[int, ...] | None
-    s: int
-
-
-def ehrhart_profile(g: Graph) -> EhrhartProfile:
-    """Counting profile of a normal graph: the interior threshold always, and
-    h* unless `h_star` refuses the window over the row budget, which is
-    recorded as h_star = None.
-
-    This is the one place where the two regularity routes meet: when the
-    window runs, the h* degree is checked against the interior threshold.
-    """
-    p = edge_polytope(g)
-    q_min = min_interior_q(g)  # raises NotNormalError for a non-normal graph
-    s = p.dim + 1 - q_min
-    try:
-        h = h_star(g)
-    except BudgetExceededError:
-        return EhrhartProfile(q_min, None, s)
-    if len(h) - 1 != s:
-        raise InvariantViolationError(
-            f"h* degree {len(h) - 1} != (dim+1) - interior threshold {s}"
-        )
-    return EhrhartProfile(q_min, h, s)

@@ -125,20 +125,21 @@ def canonical_inequality(p: EdgePolytope, normal, provenance: str) -> FacetInequ
     side L (the second hull equation chi_L.x = 1) is 0. Then h is made
     primitive.
     """
-    return _canonical(p.hull_equations, normal, provenance)
+    h = _shifted(p.hull_equations, normal)
+    if not any(h):
+        raise ValueError("functional vanishes on every edge vector, not a facet candidate")
+    return FacetInequality(h, provenance)
 
 
-def _canonical(equations, normal, provenance: str) -> FacetInequality:
-    """`canonical_inequality` against the hull equations of P."""
+def _shifted(equations, normal) -> tuple[int, ...]:
+    """The normal of `canonical_inequality` against the hull equations of P:
+    0 exactly when it vanishes on every edge vector."""
     h = list(normal)
     if len(equations) > 1:
         chi = equations[1][0]
         t = min(x for x, c in zip(h, chi) if c)
         h = [x - t if c else x + t for x, c in zip(h, chi)]
-    h = primitive(h)
-    if not any(h):
-        raise ValueError("functional vanishes on every edge vector, not a facet candidate")
-    return FacetInequality(h, provenance)
+    return primitive(h)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +217,14 @@ def _hull_facets(g: Graph, equations, dim: int) -> tuple[FacetInequality, ...]:
     if rank != dim + 1:
         raise InvariantViolationError(
             f"the lift built a cone of dimension {rank}, not {dim + 1}")
+    # a bipartite G's rays are shifted; a non-bipartite G's are canonical
+    # already (a pyramid step keeps a ray primitive, and any other ray is a
+    # unit vector, +-line or primitive). Either way a vanishing ray is 0 here
     if len(equations) > 1:
-        facets = [_canonical(equations, r, "hull") for r in rays]
-    elif all(map(any, rays)):
-        # already canonical: a pyramid step keeps a ray primitive, and every
-        # other ray is a unit vector, +-line or made primitive
-        facets = [FacetInequality(r, "hull") for r in rays]
-    else:
+        rays = [_shifted(equations, r) for r in rays]
+    if not all(map(any, rays)):
         raise InvariantViolationError("double description produced a vanishing ray")
-    facets.sort(key=lambda f: f.normal)
+    facets = sorted((FacetInequality(r, "hull") for r in rays), key=lambda f: f.normal)
     if len({f.normal for f in facets}) != len(facets):
         raise InvariantViolationError("double description produced a facet twice")
     return tuple(facets)

@@ -20,9 +20,11 @@ reduced rows and pivot columns, so the rational oracles share nothing with
 the package implementation.
 
 A few helpers only read the package for the tests: matching and cover
-predicates, the tight vertices of a facet, and `connected_components` and
+predicates, the tight vertices of a facet, `connected_components` and
 `automorphism_count`, the package's components and automorphism groups in
-the form their oracles check.
+the form their oracles check, and `unreduced_min_interior_q`, which scans
+G's own view (`ehrhart._layout`) with the package's enumerator and facet
+kernel, so that it checks only the pendant-vertex reduction.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import numpy as np
 
-from edgering.ehrhart import _candidate_blocks, _facet_matrix, _facet_min
+from edgering.ehrhart import _facet_min, _layout, _shape_blocks
 from edgering.enumeration import _automorphisms, canonical_bits, edge_slots, graph_to_bits
 from edgering.graphs import Graph, coloured_components, mask_vertices, neighbour_masks, vertex_mask
 from edgering.polytope import (
@@ -444,13 +446,13 @@ def brute_window(g: Graph, q: int) -> tuple[set[tuple[int, ...]], set[tuple[int,
 def unreduced_min_interior_q(g: Graph) -> int | None:
     """The interior threshold scanned on G itself, with no pendant vertex
     stripped: the all-positive slice of every dilation q = ceil(d/2)..dim + 1
-    of P(G) against G's own facet matrix; None when no dilation has an
-    interior point. It shares the candidate enumerator and the facet kernel
-    with the package (`brute_window` checks those), so it checks only the
-    pyramid reduction."""
-    h = _facet_matrix(g)
+    of P(G) in G's own view, `_layout(g)`; None when no dilation has an
+    interior point. It shares the view, the candidate enumerator and the
+    facet kernel with the package (`brute_window` checks those), so it
+    checks only the pyramid reduction."""
+    sides, _, h = _layout(g)
     for q in range((g.d + 1) // 2, edge_polytope(g).dim + 2):
-        if any(np.any(_facet_min(h, block) > 0) for block in _candidate_blocks(g, q, 1)):
+        if any(np.any(_facet_min(h, block) > 0) for block in _shape_blocks(g.d, sides, q, 1)):
             return q
     return None
 

@@ -10,13 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from edgering.analysis import run_families
+from edgering.analysis import analyze, run_families
 from edgering.ehrhart import (
     _idp_packed,
     _lattice_classified,
     _pack,
     check_idp,
-    ehrhart_profile,
     h_star,
     min_interior_q,
 )
@@ -85,7 +84,7 @@ def atlas():
                     sets_equal=eq,
                     min_interior_q=min_interior_q(g) if normal else None,
                     h_star=h_star(g) if normal else None,
-                    reg=ehrhart_profile(g).s if normal else None,
+                    reg=analyze(g).reg if normal else None,
                 )
             )
     return facts

@@ -12,7 +12,6 @@ from edgering.ehrhart import (
     _compositions,
     check_idp,
     ehrhart_polynomial_value,
-    ehrhart_profile,
     h_star,
     hilbert_function,
     idp_points,
@@ -144,9 +143,9 @@ def test_interior_search_beyond_the_window_bound(monkeypatch):
     real_blocks = edgering.ehrhart._shape_blocks
     scanned = []
 
-    def blocks(d, sides, cols, q, lo):
+    def blocks(d, sides, q, lo):
         scanned.append((d, sides, q, lo))
-        return real_blocks(d, sides, cols, q, lo)
+        return real_blocks(d, sides, q, lo)
 
     monkeypatch.setattr(edgering.ehrhart, "_shape_blocks", blocks)
     assert min_interior_q(star_graph(17)) == 16
@@ -185,7 +184,7 @@ def test_cross_check_guards_the_reduced_route(monkeypatch, capsys):
     # kept & kept - 1 drops the least vertex of the core
     monkeypatch.setattr(edgering.ehrhart, "_leaf_core", lambda g: real(g) & real(g) - 1)
     with pytest.raises(InvariantViolationError):
-        ehrhart_profile(attach_path(complete_graph(4), 1, 2))
+        analyze(attach_path(complete_graph(4), 1, 2))
     assert main(["analyze", "--family", "attach_path(complete(4),1,2)"]) == 3
     assert "internal error: h* degree" in capsys.readouterr().err
 
@@ -276,8 +275,8 @@ def test_reciprocity_failure_is_an_invariant_violation(monkeypatch):
     # C4 (d = 4, dim = 2) reads its interior counts from the slice at q = 2
     real = edgering.ehrhart._window_counts
 
-    def counts(g):
-        lattice, interior = real(g)
+    def counts(*view):
+        lattice, interior = real(*view)
         return lattice, [c + (q == 2) for q, c in enumerate(interior)]
 
     monkeypatch.setattr(edgering.ehrhart, "_window_counts", counts)
@@ -286,12 +285,12 @@ def test_reciprocity_failure_is_an_invariant_violation(monkeypatch):
 
 
 def test_regularity_examples():
-    assert ehrhart_profile(complete_graph(4)).s == 2
-    assert ehrhart_profile(complete_bipartite_graph(3, 3)).s == 2
-    assert ehrhart_profile(cycle_graph(4)).s == 1
-    assert ehrhart_profile(complete_graph(2)).s == 0
-    with pytest.raises(NotNormalError):
-        ehrhart_profile(two_triangles_path(2))
+    assert analyze(complete_graph(4)).reg == 2
+    assert analyze(complete_bipartite_graph(3, 3)).reg == 2
+    assert analyze(cycle_graph(4)).reg == 1
+    assert analyze(complete_graph(2)).reg == 0
+    # the normal route's reg is not read off a non-normal graph
+    assert analyze(two_triangles_path(2)).reg is None
 
 
 def test_regularity_formula_identity_small():
@@ -302,15 +301,15 @@ def test_regularity_formula_identity_small():
             if not is_normal(g):
                 continue
             p = edge_polytope(g)
-            s = ehrhart_profile(g).s
+            s = analyze(g).reg
             assert s == p.dim + 1 - min_interior_q(g)
             assert s == len(h_star(g)) - 1
 
 
 def test_profile():
-    prof = ehrhart_profile(cycle_graph(4))
+    prof = analyze(cycle_graph(4))
     assert prof.h_star == (1, 1)
-    assert prof.s == 1
+    assert prof.reg == 1
     assert prof.min_interior_q == 2
 
 
@@ -320,9 +319,9 @@ def test_budget_guard(monkeypatch):
     with pytest.raises(BudgetExceededError):
         h_star(g)
     # the regularity fallback still answers via the interior threshold
-    prof = ehrhart_profile(g)
+    prof = analyze(g)
     assert prof.h_star is None
-    assert (prof.min_interior_q, prof.s) == (6, 5)
+    assert (prof.min_interior_q, prof.reg) == (6, 5)
 
 
 @pytest.mark.parametrize("g", [complete_bipartite_graph(3, 3), cycle_graph(5)], ids=["K33", "C5"])
@@ -331,21 +330,20 @@ def test_budget_boundary(monkeypatch, g):
     # window's row cost admits h*, one row less refuses it
     cost = window_row_cost(g, edge_polytope(g).dim + 2)
     monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", cost)
-    assert ehrhart_profile(g).h_star == h_star(g)
+    assert analyze(g).h_star == h_star(g)
     monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", cost - 1)
-    assert ehrhart_profile(g).h_star is None
+    assert analyze(g).h_star is None
     with pytest.raises(BudgetExceededError, match=f"^enumeration of {cost} candidate rows"):
         h_star(g)
 
 
 def test_one_cross_check_site(monkeypatch, capsys):
-    # an interior threshold one too high must be caught on every route that
-    # reads the profile, which is where the h* degree is compared with it
+    # an interior threshold one too high must be caught by `analyze`, where
+    # the h* degree is compared with it, and so by every route that reports it
     real = edgering.ehrhart.min_interior_q
     monkeypatch.setattr(edgering.ehrhart, "min_interior_q", lambda g: real(g) + 1)
-    for call in (ehrhart_profile, analyze):
-        with pytest.raises(InvariantViolationError):
-            call(complete_graph(4))
+    with pytest.raises(InvariantViolationError, match="h\\* degree"):
+        analyze(complete_graph(4))
     assert main(["analyze", "--family", "complete(4)"]) == 3
     assert "internal error: h* degree" in capsys.readouterr().err
 
@@ -364,8 +362,8 @@ def test_planted_counterexample_is_reported(monkeypatch, capsys):
     real_blocks = edgering.ehrhart._shape_blocks
     real_min = edgering.ehrhart._facet_min
 
-    def blocks(d, sides, cols, q, lo):
-        yield from real_blocks(d, sides, cols, q, lo)
+    def blocks(d, sides, q, lo):
+        yield from real_blocks(d, sides, q, lo)
         # K_{2,4} is the only leafless shape on 6 vertices with sides {2, 4}:
         # each vertex of the larger side needs both of the smaller
         if d == k24.d and sorted(sides or ()) == [2, 4] and (q, lo) == (mu - 1, 1):
@@ -410,7 +408,8 @@ def test_blocked_window_matches_brute_force(block_rows, g):
         assert lattice_count(g, q) == len(points)
         assert interior_count(g, q) == len(interior)
         # the lo = 1 slice is exactly the all-positive part of the lo = 0 rows
-        blocks = [list(edgering.ehrhart._candidate_blocks(g, q, lo)) for lo in (0, 1)]
+        sides = edgering.ehrhart._layout(g)[0]
+        blocks = [list(edgering.ehrhart._shape_blocks(g.d, sides, q, lo)) for lo in (0, 1)]
         rows = [np.concatenate(b) for b in blocks]
         assert len(blocks[0]) > 1 or len(rows[0]) <= 7
         assert set(map(tuple, rows[1].tolist())) == {
@@ -484,14 +483,14 @@ def test_h_star_counts_only_the_half_window(monkeypatch, g):
     asked, built = [], []
     real_counts, real_blocks = edgering.ehrhart._window_counts, edgering.ehrhart._shape_blocks
 
-    def window_counts(graph):
-        counts = real_counts(graph)
+    def window_counts(*view):
+        counts = real_counts(*view)
         asked.append(tuple(map(len, counts)))
         return counts
 
-    def shape_blocks(d, sides, cols, q, lo):
+    def shape_blocks(d, sides, q, lo):
         built.append((q, lo))
-        return real_blocks(d, sides, cols, q, lo)
+        return real_blocks(d, sides, q, lo)
 
     def classified(graph, q):
         raise AssertionError("h* ran the point route")
@@ -540,8 +539,8 @@ def test_single_count_fault_breaks_reciprocity(monkeypatch, g, lo, fault_q):
     expected = h_star(g)
     real = edgering.ehrhart._window_counts
 
-    def counts(graph):
-        window = real(graph)
+    def counts(*view):
+        window = real(*view)
         return tuple([c + (q == fault_q and i == lo) for q, c in enumerate(ends)]
                      for i, ends in enumerate(window))
 
@@ -670,7 +669,9 @@ def test_packed_counts_match_per_dilation_counts(block_rows, rows):
     streamed = 0
     for g, lattice, interior in wants:
         dim = edge_polytope(g).dim
-        assert edgering.ehrhart._window_counts(g) == (lattice[:4], interior[:dim + 1]), g
+        sides, _, h = edgering.ehrhart._layout(g)
+        assert edgering.ehrhart._window_counts(g.d, sides, h) == (lattice[:4],
+                                                                  interior[:dim + 1]), g
         assert [lattice_count(g, q) for q in range(len(lattice))] == lattice, g
         assert [interior_count(g, q) for q in range(len(interior))] == interior, g
         streamed += edgering.ehrhart._packed(g.d, edgering.ehrhart._layout(g)[0]) is None
@@ -761,8 +762,7 @@ def _closed_form_cases():
 
 def test_h_star_matches_closed_forms_beyond_the_exhaustive_range(monkeypatch):
     # K_n through n = 12 and K_{a,b} through a + b = 15 with the budget
-    # lifted; the windows over one block stream through lattice_count and
-    # interior_count
+    # lifted; the windows over one block stream one dilation at a time
     monkeypatch.setattr(edgering.ehrhart, "ROW_BUDGET", 10**40)
     cases = list(_closed_form_cases())
     assert len(cases) == 65

@@ -151,13 +151,19 @@ def test_predicted_equals_hull_beyond_digest_scope():
         assert hull == {f.normal for f in predicted_facets(g)}, spec
 
 
-def test_hull_facets_reject_a_vanishing_ray(monkeypatch):
+def test_hull_facets_reject_a_vanishing_ray(monkeypatch, capsys):
     # a planted fault: every combination the lift makes primitive comes out
     # 0, so a non-bipartite graph's rays, which become facets as they are,
-    # include one that vanishes on every edge vector
+    # include one that vanishes on every edge vector, and so does every
+    # bipartite graph's shifted ray. Both branches stop `analyze` with exit 3
     monkeypatch.setattr(edgering.polytope, "primitive", lambda vec: tuple(0 for _ in vec))
     with pytest.raises(InvariantViolationError, match="vanishing ray"):
         edge_polytope.__wrapped__(complete_graph(4))
+    for spec in ("cycle(4)", "complete_bipartite(2,3)", "complete(4)"):
+        edge_polytope.cache_clear()
+        assert main(["analyze", "--family", spec]) == 3, spec
+        assert "vanishing ray" in capsys.readouterr().err, spec
+    edge_polytope.cache_clear()
 
 
 def _connected_sample(rng, d: int, count: int) -> list[Graph]:
